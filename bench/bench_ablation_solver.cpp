@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "core/annealing.hpp"
 #include "core/exhaustive.hpp"
+#include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score_matrix.hpp"
 
@@ -24,6 +25,26 @@ double plan_cost(const core::ScoreModel& m) {
   for (int c = 0; c < m.cols(); ++c) sum += m.cell(m.plan_row(c), c);
   return sum;
 }
+
+/// A score model over its own freshly refreshed (all-dirty) fleet
+/// snapshot, so every solver below starts from an identical matrix.
+struct FreshModel {
+  core::FleetState fleet;
+  core::ScoreModel model;
+
+  FreshModel(const datacenter::Datacenter& dc,
+             const std::vector<datacenter::VmId>& queue,
+             const core::ScoreParams& params)
+      : model(refreshed(fleet, dc, queue), dc, queue, params,
+              /*migration_enabled=*/true) {}
+
+  static core::FleetState& refreshed(
+      core::FleetState& fleet, const datacenter::Datacenter& dc,
+      const std::vector<datacenter::VmId>& queue) {
+    fleet.refresh(dc, queue);
+    return fleet;
+  }
+};
 
 struct Instance {
   sim::Simulator simulator;
@@ -83,20 +104,20 @@ int main() {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Instance inst(4, 4, 3, seed);
 
-    core::ScoreModel greedy(inst.dc, inst.queue, params, true);
+    FreshModel greedy(inst.dc, inst.queue, params);
     core::HillClimbLimits limits;
     limits.min_migration_gain = 1e-9;
     limits.max_migration_moves = 1000;
-    core::hill_climb(greedy, limits);
-    const double greedy_cost = plan_cost(greedy);
+    core::hill_climb(greedy.model, limits);
+    const double greedy_cost = plan_cost(greedy.model);
 
-    core::ScoreModel sa_model(inst.dc, inst.queue, params, true);
+    FreshModel sa_model(inst.dc, inst.queue, params);
     core::AnnealingParams sa_params;
     sa_params.seed = seed;
-    const auto sa = core::anneal(sa_model, sa_params);
+    const auto sa = core::anneal(sa_model.model, sa_params);
 
-    core::ScoreModel reference(inst.dc, inst.queue, params, true);
-    const auto opt = core::exhaustive_search(reference);
+    FreshModel reference(inst.dc, inst.queue, params);
+    const auto opt = core::exhaustive_search(reference.model);
 
     const double denom = std::max(std::abs(opt.best_cost), 1.0);
     const double gap = 100.0 * (greedy_cost - opt.best_cost) / denom;
@@ -121,8 +142,8 @@ int main() {
   const auto start = std::chrono::steady_clock::now();
   int rounds = 0;
   for (; rounds < 50; ++rounds) {
-    core::ScoreModel model(big.dc, big.queue, params, true);
-    core::hill_climb(model, core::HillClimbLimits{});
+    FreshModel fresh(big.dc, big.queue, params);
+    core::hill_climb(fresh.model, core::HillClimbLimits{});
   }
   const auto elapsed = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)

@@ -1,34 +1,27 @@
 // Fleet-scale round timing for the cross-round incremental scheduling core
 // (core/fleet.hpp): the number behind BENCH_fleet.json.
 //
-// Main mode. For each fleet size (default 1000/4000/10000 hosts) and churn
-// level, a synthetic steady-state scenario is driven round by round: the
-// fleet is prepopulated to ~95 % CPU utilization, then every 60 s round a
-// fixed number of jobs finishes (their residency is sized so completions
-// match arrivals) and the same number arrives into the queue. Only
+// For each fleet size (default 1000/4000/10000 hosts) and churn level, a
+// synthetic steady-state scenario is driven round by round: the fleet is
+// prepopulated to ~95 % CPU utilization, then every 60 s round a fixed
+// number of jobs finishes (their residency is sized so completions match
+// arrivals) and the same number arrives into the queue. Only
 // `policy.schedule()` is timed — exactly the code the incremental core
 // accelerates: the host re-read, the matrix build and the hill-climb
 // sweep. Both variants run the identical scenario in one process:
 //
-//   reference   — ScoreBasedConfig.incremental = false: every round
-//                 re-reads all M hosts and eagerly rebuilds the matrix
-//                 (the pre-fleet behaviour, kept as a run-time flag);
-//   incremental — the cross-round FleetState path: dirty-journal re-reads,
-//                 lazy static terms, capacity-pruned argmin, persistent
-//                 queued-VM columns.
+//   reference   — a fresh ScoreBasedPolicy(sb2()) built every round. SB2
+//                 has migration off, so the fleet snapshot is its only
+//                 cross-round state: every round re-reads all M hosts
+//                 into an all-dirty snapshot and starts with no persisted
+//                 score columns;
+//   incremental — one policy kept across rounds: dirty-journal re-reads,
+//                 capacity-pruned argmin, persistent queued-VM columns.
 //
 // The two action streams are compared round for round and any divergence
 // is a hard failure: the speedup claim is only meaningful if the decisions
 // are identical. `--json` emits the rows committed as BENCH_fleet.json
 // (scripts/refresh_bench.sh).
-//
-// `--smoke` (the `bench_fleet_smoke` ctest entry) is the small-fleet
-// non-regression gate: on the 100-node evaluation week — where dirty
-// fractions are high and fleets are small, i.e. the incremental machinery
-// has the least to win — the incremental run must stay behaviourally
-// identical to the reference run and its median paired wall-clock delta
-// must not exceed 2 % of the reference time (plus absolute slack for
-// timer jitter), following the bench_resilience_smoke methodology.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,8 +77,6 @@ workload::Job churn_job(support::Rng& rng, double submit, double mean_life) {
 struct VariantRun {
   std::vector<double> round_ms;        ///< measured rounds only
   std::vector<sched::Action> actions;  ///< every action of every round
-  std::uint64_t hosts_reread = 0;      ///< fleet stats (incremental only)
-  std::uint64_t refreshes = 0;
 };
 
 VariantRun run_variant(std::size_t hosts, int churn, int warmup_rounds,
@@ -118,9 +109,8 @@ VariantRun run_variant(std::size_t hosts, int churn, int warmup_rounds,
   }
   simulator.run_until(300);  // initial creations settle into Running
 
-  core::ScoreBasedConfig cfg = core::ScoreBasedConfig::sb2();
-  cfg.incremental = incremental;
-  core::ScoreBasedPolicy policy(cfg);
+  const core::ScoreBasedConfig cfg = core::ScoreBasedConfig::sb2();
+  auto policy = std::make_unique<core::ScoreBasedPolicy>(cfg);
 
   VariantRun out;
   std::vector<VmId> queue;
@@ -134,8 +124,9 @@ VariantRun run_variant(std::size_t hosts, int churn, int warmup_rounds,
     }
 
     const sched::SchedContext ctx{dc, queue, policy_rng};
+    if (!incremental) policy = std::make_unique<core::ScoreBasedPolicy>(cfg);
     const auto begin = std::chrono::steady_clock::now();
-    const std::vector<sched::Action> actions = policy.schedule(ctx);
+    const std::vector<sched::Action> actions = policy->schedule(ctx);
     const auto end = std::chrono::steady_clock::now();
     if (round >= warmup_rounds) {
       out.round_ms.push_back(
@@ -259,90 +250,11 @@ int run_main(const support::CliArgs& args, bool json) {
   return bad;
 }
 
-// ---- --smoke: 100-host non-regression gate ---------------------------------
-
-experiments::RunConfig smoke_config(bool incremental) {
-  core::ScoreBasedConfig cfg = core::ScoreBasedConfig::sb();
-  cfg.incremental = incremental;
-  experiments::RunConfig config = bench::week_run_config("SB");
-  config.policy_instance = std::make_unique<core::ScoreBasedPolicy>(cfg);
-  return config;
-}
-
-struct Timed {
-  std::vector<double> ms;
-  experiments::RunResult result;
-};
-
-void time_once(Timed& out, const workload::Workload& jobs, bool incremental) {
-  const auto begin = std::chrono::steady_clock::now();
-  auto result = experiments::run_experiment(jobs, smoke_config(incremental));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  out.result = std::move(result);
-}
-
-int run_smoke(int repeats) {
-  const auto jobs = bench::week_workload();
-  std::printf("fleet smoke: 100-host week, %zu jobs, median of %d "
-              "interleaved runs each\n",
-              jobs.size(), repeats);
-
-  {
-    Timed warmup;  // untimed: page-cache/allocator costs go to nobody
-    time_once(warmup, jobs, false);
-  }
-  Timed reference, incremental;
-  for (int i = 0; i < repeats; ++i) {
-    time_once(reference, jobs, false);
-    time_once(incremental, jobs, true);
-  }
-
-  std::vector<double> delta;
-  for (int i = 0; i < repeats; ++i) {
-    delta.push_back(incremental.ms[i] - reference.ms[i]);
-  }
-  const double ref_ms = median(reference.ms);
-  const double inc_ms = median(delta);
-  std::printf("  reference    %8.1f ms\n", ref_ms);
-  std::printf("  incremental  %+8.1f ms  (%+.2f%%)\n", inc_ms,
-              100.0 * inc_ms / ref_ms);
-
-  int bad = 0;
-  const auto require = [&bad](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("SMOKE FAIL: %s\n", what);
-      bad = 1;
-    }
-  };
-  require(incremental.result.events_dispatched ==
-                  reference.result.events_dispatched &&
-              incremental.result.report.energy_kwh ==
-                  reference.result.report.energy_kwh &&
-              incremental.result.report.migrations ==
-                  reference.result.report.migrations &&
-              incremental.result.report.satisfaction ==
-                  reference.result.report.satisfaction,
-          "incremental run is bit-identical to the reference run");
-  // <= 2 % relative, with 5 ms of absolute slack against timer jitter.
-  require(inc_ms <= ref_ms * 0.02 + 5.0,
-          "incremental path within 2% of the reference at 100 hosts");
-  if (bad == 0) std::printf("SMOKE OK\n");
-  return bad;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   support::CliArgs args(argc, argv);
-  const bool smoke = args.get_bool("smoke", false);
   const bool json = args.get_bool("json", false);
-  const int repeats = static_cast<int>(args.get_int("repeats", 7));
-  if (smoke) {
-    args.warn_unrecognized();
-    return run_smoke(repeats);
-  }
   const int rc = run_main(args, json);
   args.warn_unrecognized();
   return rc;

@@ -8,6 +8,7 @@
 // seconds.
 #include <benchmark/benchmark.h>
 
+#include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
 #include "core/score_matrix.hpp"
@@ -84,12 +85,21 @@ struct MatrixFixture {
   }
 };
 
+/// Score-matrix construction from scratch: a fresh (all-dirty) fleet
+/// snapshot, the model over it, and one read of every cell (the model
+/// evaluates cells lazily, so the read is the build).
 void BM_ScoreMatrixBuild(benchmark::State& state) {
   MatrixFixture fx;
   core::ScoreParams params;
   for (auto _ : state) {
-    core::ScoreModel model(fx.dc, fx.queue, params, true);
-    benchmark::DoNotOptimize(model.cols());
+    core::FleetState fleet;
+    fleet.refresh(fx.dc, fx.queue);
+    core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
+    double sum = 0;
+    for (int r = 0; r < model.virtual_row(); ++r) {
+      for (int c = 0; c < model.cols(); ++c) sum += model.cell(r, c);
+    }
+    benchmark::DoNotOptimize(sum);
   }
 }
 BENCHMARK(BM_ScoreMatrixBuild);
@@ -98,7 +108,9 @@ void BM_HillClimbRound(benchmark::State& state) {
   MatrixFixture fx;
   core::ScoreParams params;
   for (auto _ : state) {
-    core::ScoreModel model(fx.dc, fx.queue, params, true);
+    core::FleetState fleet;
+    fleet.refresh(fx.dc, fx.queue);
+    core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
     core::HillClimbLimits limits;
     auto stats = core::hill_climb(model, limits);
     benchmark::DoNotOptimize(stats.moves);
@@ -156,26 +168,27 @@ struct ScalingFixture {
   }
 };
 
-/// solver_scaling: one consolidation round (matrix build + solve) at fleet
-/// sizes 100 / 400 / 1600, comparing the seed implementation
-/// (hill_climb_reference, full-matrix rescan per iteration), the
-/// incremental production solver, and the incremental solver over a 4-way
-/// SolverPool. All three produce bit-identical plans
+/// solver_scaling: one consolidation round (fresh all-dirty fleet
+/// snapshot + solve) at fleet sizes 100 / 400 / 1600, comparing the seed
+/// implementation (hill_climb_reference, full-matrix rescan per
+/// iteration), the incremental production solver, and the incremental
+/// solver over a 4-way SolverPool. All three produce bit-identical plans
 /// (tests/test_solver_equivalence.cpp); only the time differs.
 template <typename Solve>
-void solver_scaling_round(benchmark::State& state, const Solve& solve,
-                          core::SolverPool* pool = nullptr) {
+void solver_scaling_round(benchmark::State& state, const Solve& solve) {
   ScalingFixture fx(static_cast<int>(state.range(0)));
   core::ScoreParams params;
-  for (auto _ : state) {
-    core::ScoreModel model(fx.dc, fx.queue, params, /*migration=*/true, pool);
-    auto stats = solve(model);
-    benchmark::DoNotOptimize(stats.moves);
-  }
-  state.counters["moves"] = static_cast<double>([&] {
-    core::ScoreModel model(fx.dc, fx.queue, params, true, pool);
+  const auto round = [&] {
+    core::FleetState fleet;
+    fleet.refresh(fx.dc, fx.queue);
+    core::ScoreModel model(fleet, fx.dc, fx.queue, params,
+                           /*migration_enabled=*/true);
     return solve(model).moves;
-  }());
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(round());
+  }
+  state.counters["moves"] = static_cast<double>(round());
 }
 
 void BM_SolverScaling_Serial(benchmark::State& state) {
@@ -202,7 +215,7 @@ void BM_SolverScaling_Threaded4(benchmark::State& state) {
   limits.pool = &pool;
   solver_scaling_round(state, [&](core::ScoreModel& model) {
     return core::hill_climb(model, limits);
-  }, &pool);
+  });
 }
 BENCHMARK(BM_SolverScaling_Threaded4)
     ->Arg(100)->Arg(400)->Arg(1600)

@@ -35,12 +35,12 @@ struct AnnealingStats {
 };
 
 /// Anneals `model` (same concept as hill_climb; move() must support moving
-/// queued columns back to the virtual row). The model is left in the best
-/// plan encountered.
+/// queued columns back to the virtual row, and bool placeable(int r) names
+/// the real rows a move may target). The model is left in the best plan
+/// encountered.
 template <typename Model>
 AnnealingStats anneal(Model& model, const AnnealingParams& params) {
   AnnealingStats stats;
-  const int rows = model.rows();
   const int cols = model.cols();
 
   const auto total_cost = [&] {
@@ -56,7 +56,16 @@ AnnealingStats anneal(Model& model, const AnnealingParams& params) {
   double cost = total_cost();
   stats.best_cost = cost;
   snapshot();
-  if (cols == 0 || rows <= 1) return stats;
+  // Move targets: the placeable rows in ascending order, then the virtual
+  // row. The walk draws an index into this list, so non-placeable hosts
+  // never enter it and the draws depend only on how many hosts accept
+  // placements.
+  std::vector<int> targets;
+  for (int r = 0; r < model.virtual_row(); ++r) {
+    if (model.placeable(r)) targets.push_back(r);
+  }
+  targets.push_back(model.virtual_row());
+  if (cols == 0 || targets.size() <= 1) return stats;
 
   support::Rng rng{params.seed};
   std::vector<int> movable;
@@ -70,12 +79,11 @@ AnnealingStats anneal(Model& model, const AnnealingParams& params) {
     for (int step = 0; step < params.steps_per_temperature; ++step) {
       const int c = movable[rng.uniform_int(0, movable.size() - 1)];
       const int from = model.plan_row(c);
-      // Candidate row: any real host, or back to the queue for columns
+      // Candidate row: any placeable host, or back to the queue for columns
       // that entered from it.
       int to;
       do {
-        to = static_cast<int>(rng.uniform_int(
-            0, static_cast<std::uint64_t>(rows - 1)));
+        to = targets[rng.uniform_int(0, targets.size() - 1)];
       } while (to == from ||
                (to == model.virtual_row() &&
                 model.original_row(c) != model.virtual_row()));

@@ -1,24 +1,23 @@
 // Cross-round incremental fleet state for the scheduling core.
 //
-// The legacy ScoreModel constructor re-reads every host from the
-// Datacenter at the start of every round — O(M) pointer-chasing queries
-// plus an O(M x N) eager static-term build. Between rounds almost nothing
-// changes: a round touches the few hosts that gained/lost a VM or an
-// operation, and the rest of the fleet is byte-for-byte identical to last
-// round's snapshot. FleetState exploits that: it owns a persistent SoA
-// snapshot of the per-host hot fields, consumes the Datacenter's dirty
-// journal (drain_fleet_dirty) each round, and re-reads *only* the dirtied
-// hosts — with the exact same expressions the legacy constructor uses, so
-// the snapshot is bitwise equal to a fresh full read at all times (the
-// kFleetSnapshot invariant rule holds this).
+// Re-reading every host from the Datacenter for every score matrix costs
+// O(M) pointer-chasing queries, yet between rounds almost nothing changes:
+// a round touches the few hosts that gained/lost a VM or an operation, and
+// the rest of the fleet is byte-for-byte identical to last round's
+// snapshot. FleetState exploits that: it owns a persistent SoA snapshot of
+// the per-host hot fields, consumes the Datacenter's dirty journal
+// (drain_fleet_dirty) on every refresh, and re-reads *only* the dirtied
+// hosts through one read path (read_host), so the snapshot is bitwise
+// equal to a fresh full read at all times (the kFleetSnapshot invariant
+// rule holds this).
 //
 // Three cooperating pieces live here:
 //
 //   FleetSnapshot   — SoA arrays over all HostIds (row index == HostId).
-//                     The fleet-mode ScoreModel points straight into these
-//                     arrays for its immutable row attributes; only the
-//                     plan-tracked fields (reservations, counts, demand)
-//                     are copied per round.
+//                     The ScoreModel points straight into these arrays for
+//                     its immutable row attributes; only the plan-tracked
+//                     fields (reservations, counts, demand) are copied per
+//                     model.
 //
 //   HostBucketIndex — capacity buckets over the snapshot: per-host free
 //                     CPU/memory margins (conservatively widened by
@@ -39,9 +38,10 @@
 //                     see ScoreModel.)
 //
 // Ownership: the score-based policy owns one FleetState per policy
-// instance and refreshes it at the top of every full round; the per-round
-// ScoreModel borrows it (non-const, for cache write-through) and must not
-// outlive the round. The Datacenter only owns the journal.
+// instance and refreshes it before every score model it builds (each full
+// round and each power-off ranking); the ScoreModel borrows it (non-const,
+// for cache write-through) and must not outlive the call. The Datacenter
+// only owns the journal.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +69,8 @@ namespace easched::core {
 inline constexpr double kFleetOverMargin = 1.0 + 1e-7;
 
 /// SoA snapshot of every host's score-relevant fields, row index == HostId.
-/// Field definitions (and evaluation expressions) mirror the legacy
-/// ScoreModel constructor exactly; kFleetSnapshot asserts bitwise equality
-/// against a fresh re-read.
+/// Every field is written by FleetState::read_host; kFleetSnapshot asserts
+/// bitwise equality against a fresh re-read.
 struct FleetSnapshot {
   std::vector<unsigned char> placeable;  ///< dc.placeable(h) at refresh
   std::vector<double> cpu_cap, mem_cap;
@@ -171,7 +170,7 @@ struct CellStaticTerms {
   bool compat = false;
 };
 
-/// Round-to-round reusable backing buffers for the fleet-mode ScoreModel.
+/// Round-to-round reusable backing buffers for the ScoreModel.
 /// The per-round matrices are M x N — multiple MB at fleet scale — and a
 /// fresh allocate-and-zero every round costs a measurable slice of the
 /// incremental round budget. The model takes these buffers in its
@@ -228,10 +227,10 @@ class FleetState {
                                                 datacenter::HostId h);
 
   /// Reads host `h`'s score-relevant fields from the Datacenter into
-  /// `snap[h]` — byte-for-byte the legacy ScoreModel constructor's read
-  /// expressions, same accumulation order. The single read path shared by
-  /// refresh() and the kFleetSnapshot checker rule, so a clean snapshot
-  /// entry is bitwise equal to a fresh full re-read.
+  /// `snap[h]`. The single read path shared by refresh() and the
+  /// kFleetSnapshot checker rule, so a clean snapshot entry is bitwise
+  /// equal to a fresh full re-read; tests/reference_model.hpp recomputes
+  /// the same fields with the same expressions and accumulation order.
   static void read_host(const datacenter::Datacenter& dc,
                         datacenter::HostId h, sim::SimTime now,
                         FleetSnapshot& snap);

@@ -33,7 +33,6 @@
 //   double cell(int r, int c);            // score under the current plan
 //   int plan_row(int c); bool movable(int c);
 //   Dirty move(int r, int c);             // Dirty{col, row_a, row_b}
-// Optionally: void prime()                // pre-fill any internal cache
 // Optionally (candidate pruning; both must be *conservative*, i.e. only
 // ever true for cells whose delta against any keep score is >= 0, so the
 // argmin provably never selects them and the move trace stays identical):
@@ -178,9 +177,6 @@ HillClimbStats hill_climb(Model& model, const HillClimbLimits& limits) {
   SolverPool* pool =
       limits.pool != nullptr && limits.pool->threads() > 1 ? limits.pool
                                                            : nullptr;
-  if constexpr (requires { model.prime(); }) {
-    model.prime();  // row-partitioned initial matrix build (cached models)
-  }
 
   // kArgminBlock (core/score.hpp) is shared with the fleet bucket index:
   // its per-block free-capacity maxima are what skip_block() consults.

@@ -82,32 +82,13 @@ std::vector<sched::Action> ScoreBasedPolicy::schedule(
       now - last_consolidation_ >= config_.migration_period_s;
   if (consolidate) last_consolidation_ = now;
 
-  // Incremental (fleet) mode serves hill-climb rounds from the cross-round
-  // snapshot instead of re-reading every host. Annealing stays on the
-  // legacy full-rebuild layout: its random walk accepts uphill moves, which
-  // the pruned all-hosts layout is not decision-equivalent for.
-#ifdef EASCHED_FLEET_REFERENCE
-  constexpr bool use_fleet = false;
-#else
-  const bool use_fleet =
-      config_.incremental && config_.solver == MatrixSolver::kHillClimb;
-#endif
-
   obs::PhaseProfiler* prof = obs::profiler(ctx.dc.recorder());
   std::optional<ScoreModel> model_storage;
   {
     obs::PhaseProfiler::Scope scope(prof, obs::Phase::kRebuild);
-    if (use_fleet) {
-      fleet_.refresh(ctx.dc, ctx.queue);
-      if (auto* ck = validate::checker(ctx.dc.recorder())) {
-        ck->check_fleet(fleet_, ctx.dc, now);
-      }
-      model_storage.emplace(fleet_, ctx.dc, ctx.queue, config_.params,
-                            consolidate, pool());
-    } else {
-      model_storage.emplace(ctx.dc, ctx.queue, config_.params, consolidate,
-                            pool());
-    }
+    refresh_fleet(ctx);
+    model_storage.emplace(fleet_, ctx.dc, ctx.queue, config_.params,
+                          consolidate);
   }
   ScoreModel& model = *model_storage;
   model.set_profiler(prof);
@@ -288,21 +269,31 @@ std::vector<sched::Action> ScoreBasedPolicy::first_fit(
   return actions;
 }
 
+void ScoreBasedPolicy::refresh_fleet(const sched::SchedContext& ctx) {
+  fleet_.refresh(ctx.dc, ctx.queue);
+  if (auto* ck = validate::checker(ctx.dc.recorder())) {
+    ck->check_fleet(fleet_, ctx.dc, ctx.dc.simulator().now());
+  }
+}
+
 datacenter::HostId ScoreBasedPolicy::choose_power_off(
     const sched::SchedContext& ctx,
     const std::vector<datacenter::HostId>& idle_hosts) {
   EA_EXPECTS(!idle_hosts.empty());
-  // Rank by the aggregated matrix row of each idle candidate.
-  ScoreModel model(ctx.dc, ctx.queue, config_.params, config_.migration,
-                   pool());
+  refresh_fleet(ctx);
+  ScoreModel model(fleet_, ctx.dc, ctx.queue, config_.params,
+                   config_.migration);
+  // Rank by the aggregated matrix row of each placeable idle candidate,
+  // in ascending HostId (first maximum wins). Aggregates can be negative
+  // (the Ppwr fill reward), so only candidates above -1 ever replace the
+  // front-of-list fallback.
+  std::vector<datacenter::HostId> ascending = idle_hosts;
+  std::sort(ascending.begin(), ascending.end());
   datacenter::HostId best = idle_hosts.front();
   double best_score = -1;
-  for (int r = 0; r < model.virtual_row(); ++r) {
-    const datacenter::HostId h = model.host_at(r);
-    if (std::find(idle_hosts.begin(), idle_hosts.end(), h) ==
-        idle_hosts.end()) {
-      continue;
-    }
+  for (const datacenter::HostId h : ascending) {
+    const int r = static_cast<int>(h);
+    if (!model.placeable(r)) continue;
     double agg = model.row_aggregate(r);
     if (model.cols() == 0) {
       // Empty matrix: fall back to overhead-based ranking so the choice

@@ -44,21 +44,12 @@ struct ScoreBasedConfig {
   /// Minimum matrix improvement a migration must bring; keeps marginal
   /// reshuffles (whose cost the matrix only approximates) from happening.
   double min_migration_gain = 35;
-  /// Worker threads for the matrix build and the hill-climbing sweep.
+  /// Worker threads for the hill-climbing sweep (the matrix itself is
+  /// evaluated lazily per cell, so the pool drives only the climb).
   /// 0 = take EASCHED_SOLVER_THREADS from the environment (default 1,
   /// i.e. serial). Threaded plans are bit-identical to serial ones
   /// (tests/test_solver_equivalence.cpp).
   int solver_threads = 0;
-  /// Cross-round incremental scheduling core (core/fleet.hpp): keep a
-  /// persistent fleet snapshot between rounds, re-read only the hosts the
-  /// Datacenter's dirty journal names, and let the hill climber prune
-  /// provably infeasible candidates through the capacity-bucket index.
-  /// Decisions are bit-identical to the full-rebuild path (the fleet
-  /// differential tests hold this); disable to force the reference
-  /// rebuild-every-round behaviour. Only the hill-climb solver uses it —
-  /// annealing explores uphill moves the pruned layout cannot represent —
-  /// and building with -DEASCHED_FLEET_REFERENCE=ON overrides it to off.
-  bool incremental = true;
   std::string label = "SB";
 
   static ScoreBasedConfig sb0();
@@ -82,7 +73,9 @@ class ScoreBasedPolicy final : public sched::Policy {
 
   /// Section III-C: idle nodes are switched off by their aggregated matrix
   /// row score (higher aggregate — more infinities, higher penalties —
-  /// goes first).
+  /// goes first). Ranks on the same cross-round fleet snapshot as
+  /// schedule(): only dirty hosts are re-read and only the idle rows are
+  /// evaluated.
   datacenter::HostId choose_power_off(
       const sched::SchedContext& ctx,
       const std::vector<datacenter::HostId>& idle_hosts) override;
@@ -99,6 +92,10 @@ class ScoreBasedPolicy final : public sched::Policy {
   /// returns the shared pool, or nullptr when running serially.
   SolverPool* pool();
 
+  /// Brings fleet_ up to date with ctx (dirty hosts only) and, under the
+  /// invariant checker, holds the snapshot to a fresh re-read.
+  void refresh_fleet(const sched::SchedContext& ctx);
+
   /// LadderLevel::kFirstFit round: greedy first-fit placements of queued
   /// VMs (ascending host id), no score model, no migrations. O(queue x
   /// hosts) with no allocation beyond the action vector — the cheap rung
@@ -107,7 +104,7 @@ class ScoreBasedPolicy final : public sched::Policy {
 
   ScoreBasedConfig config_;
   HillClimbStats last_stats_;
-  FleetState fleet_;  ///< cross-round incremental state (incremental mode)
+  FleetState fleet_;  ///< cross-round snapshot behind every score model
   sim::SimTime last_consolidation_ = -1e18;  ///< time of last migration round
   std::unique_ptr<SolverPool> pool_;  ///< lazily created, reused each round
   bool pool_resolved_ = false;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/penalties.hpp"
-#include "core/solver_pool.hpp"
 #include "support/contracts.hpp"
 #include "workload/satisfaction.hpp"
 
@@ -31,98 +30,10 @@ void ScoreModel::fill_column_common(VmCol& c, const datacenter::Vm& vm,
   c.software = vm.job.software;
 }
 
-void ScoreModel::bind_own_rows() {
-  placeable_ = own_.placeable.data();
-  cap_cpu_ = own_.cpu_cap.data();
-  cap_mem_ = own_.mem_cap.data();
-  mgmt_ = own_.mgmt.data();
-  conc_ = own_.conc.data();
-  cost_create_ = own_.creation.data();
-  cost_migrate_ = own_.migration.data();
-  reliability_ = own_.reliability.data();
-  arch_ = own_.arch.data();
-  software_ = own_.software.data();
-}
-
-ScoreModel::ScoreModel(const datacenter::Datacenter& dc,
-                       const std::vector<VmId>& queued,
-                       const ScoreParams& params, bool migration_enabled,
-                       SolverPool* pool)
-    : params_(params), pool_(pool) {
-  const sim::SimTime now = dc.simulator().now();
-
-  // Rows: powered-on hosts, compacted (legacy layout).
-  std::vector<int> row_of_host(dc.num_hosts(), -1);
-  for (HostId h = 0; h < dc.num_hosts(); ++h) {
-    const auto& host = dc.host(h);
-    if (!dc.placeable(h)) continue;
-    row_of_host[h] = static_cast<int>(own_.id.size());
-    own_.id.push_back(h);
-    own_.cpu_cap.push_back(host.spec.cpu_capacity_pct);
-    own_.mem_cap.push_back(host.spec.mem_mb);
-    cpu_res_.push_back(dc.reserved_cpu_pct(h));
-    mem_res_.push_back(dc.reserved_mem_mb(h));
-    vm_count_.push_back(static_cast<int>(host.vm_count()));
-    own_.mgmt.push_back(host.mgmt_demand_pct());
-    double conc = 0;
-    for (const auto& op : host.ops) {
-      conc += std::max(0.0, op.ends - now);
-    }
-    own_.conc.push_back(conc);
-    double running = 0;
-    for (VmId v : host.residents) {
-      if (dc.vm(v).state == VmState::kRunning) {
-        running += dc.vm(v).cpu_demand_pct;
-      }
-    }
-    running_.push_back(running);
-    own_.creation.push_back(host.spec.creation_cost_s);
-    own_.migration.push_back(host.spec.migration_cost_s);
-    own_.reliability.push_back(host.spec.reliability);
-    own_.arch.push_back(host.spec.arch);
-    own_.software.push_back(host.spec.software);
-  }
-  own_.placeable.assign(own_.id.size(), 1);
-  nrows_ = static_cast<int>(own_.id.size());
-  bind_own_rows();
-
-  auto add_column = [&](const datacenter::Vm& vm, bool is_new) {
-    VmCol c;
-    fill_column_common(c, vm, is_new, now);
-    c.original = is_new ? virtual_row() : row_of_host[vm.host];
-    if (!is_new && c.original < 0) return;  // host offline; shouldn't happen
-    c.planned = c.original;
-    vms_.push_back(c);
-  };
-
-  for (VmId v : queued) {
-    EA_EXPECTS(dc.vm(v).state == VmState::kQueued);
-    add_column(dc.vm(v), /*is_new=*/true);
-  }
-  if (migration_enabled) {
-    for (VmId v : dc.active_vms()) {
-      const auto& vm = dc.vm(v);
-      // VMs with an operation in flight have infinite scores everywhere
-      // but home (III-A.3); excluding them as columns is equivalent.
-      if (vm.state == VmState::kRunning) add_column(vm, /*is_new=*/false);
-    }
-  }
-
-  const std::size_t cells =
-      static_cast<std::size_t>(nrows_) * vms_.size();
-  static_terms_.resize(cells);
-  static_ok_.assign(cells, 0);
-  cache_.resize(cells);
-  cache_ok_.assign(cells, 0);
-  build_static_terms(pool_);
-}
-
 ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
                        const std::vector<VmId>& queued,
-                       const ScoreParams& params, bool migration_enabled,
-                       SolverPool* pool)
-    : params_(params), pool_(pool), fleet_scratch_home_(&fleet),
-      fleet_mode_(true) {
+                       const ScoreParams& params, bool migration_enabled)
+    : params_(params), scratch_home_(fleet) {
   const sim::SimTime now = dc.simulator().now();
   const FleetSnapshot& snap = fleet.snapshot();
   EA_EXPECTS(snap.size() == dc.num_hosts());
@@ -176,9 +87,10 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
   if (migration_enabled) {
     for (VmId v : dc.active_vms()) {
       const auto& vm = dc.vm(v);
+      // VMs with an operation in flight have infinite scores everywhere
+      // but home (III-A.3); excluding them as columns is equivalent. A
+      // running VM on a non-placeable host is pinned too.
       if (vm.state != VmState::kRunning) continue;
-      // Mirrors the legacy row_of_host < 0 exclusion: a running VM on a
-      // non-placeable host is pinned, not a column.
       if (snap.placeable[vm.host] == 0) continue;
       VmCol c;
       fill_column_common(c, vm, /*is_new=*/false, now);
@@ -205,8 +117,7 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
 }
 
 ScoreModel::~ScoreModel() {
-  if (fleet_scratch_home_ == nullptr) return;
-  ModelScratch& scratch = fleet_scratch_home_->model_scratch();
+  ModelScratch& scratch = scratch_home_.model_scratch();
   scratch.cpu_res = std::move(cpu_res_);
   scratch.mem_res = std::move(mem_res_);
   scratch.running = std::move(running_);
@@ -220,23 +131,6 @@ ScoreModel::~ScoreModel() {
   scratch.static_ok = std::move(static_ok_);
   scratch.cache = std::move(cache_);
   scratch.cache_ok = std::move(cache_ok_);
-}
-
-void ScoreModel::build_static_terms(SolverPool* pool) {
-  const int nrows = nrows_;
-  if (nrows == 0 || vms_.empty()) return;
-  const auto build_rows = [this](int begin, int end) {
-    const int ncols = static_cast<int>(vms_.size());
-    for (int r = begin; r < end; ++r) {
-      for (int c = 0; c < ncols; ++c) build_static_cell(r, c);
-    }
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->parallel_for(nrows, build_rows);
-  } else {
-    build_rows(0, nrows);
-  }
-  std::fill(static_ok_.begin(), static_ok_.end(), 1);
 }
 
 void ScoreModel::build_static_cell(int r, int c) const {
@@ -253,29 +147,6 @@ void ScoreModel::build_static_cell(int r, int c) const {
   }
   st.conc = p_conc(home, conc_[r]);
   st.fault = p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
-}
-
-void ScoreModel::prime() {
-  if (fleet_mode_) return;  // the argmin warms what it reads
-  const int nrows = nrows_;
-  const int ncols = static_cast<int>(vms_.size());
-  if (nrows == 0 || ncols == 0) return;
-  const auto fill_rows = [this, ncols](int begin, int end) {
-    for (int r = begin; r < end; ++r) {
-      for (int c = 0; c < ncols; ++c) {
-        const std::size_t i = at(r, c);
-        if (!cache_ok_[i]) {
-          cache_[i] = score_cell(r, c);
-          cache_ok_[i] = 1;
-        }
-      }
-    }
-  };
-  if (pool_ != nullptr && pool_->threads() > 1) {
-    pool_->parallel_for(nrows, fill_rows);
-  } else {
-    fill_rows(0, nrows);
-  }
 }
 
 int ScoreModel::rows() const { return nrows_ + 1; }
@@ -303,8 +174,12 @@ VmId ScoreModel::vm_at(int c) const {
 
 HostId ScoreModel::host_at(int r) const {
   EA_EXPECTS(r >= 0 && r < virtual_row());
-  return fleet_mode_ ? static_cast<HostId>(r)
-                     : own_.id[static_cast<std::size_t>(r)];
+  return static_cast<HostId>(r);
+}
+
+bool ScoreModel::placeable(int r) const {
+  EA_EXPECTS(r >= 0 && r < virtual_row());
+  return placeable_[r] != 0;
 }
 
 double ScoreModel::cell(int r, int c) const {
@@ -315,7 +190,7 @@ double ScoreModel::cell(int r, int c) const {
   if (!cache_ok_[i]) {
     FleetColCache* persist = vms_[static_cast<std::size_t>(c)].persist;
     if (persist != nullptr && plan_touched_[static_cast<std::size_t>(r)] == 0) {
-      // Fleet mode, untouched row: the row's plan state equals the
+      // Untouched row: the row's plan state equals the
       // snapshot, so the cross-round persisted value (computed under the
       // same state last round — its host would have been dirtied
       // otherwise) is exact; a fresh evaluation is persisted for the next
@@ -344,7 +219,6 @@ double ScoreModel::recompute_cell(int r, int c) const {
 }
 
 bool ScoreModel::provably_inf(int r, int c) const {
-  if (!fleet_mode_) return false;
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
   if (v.planned == r) return false;  // need is 0; the keep cell may be finite
   if (placeable_[r] == 0) return true;      // compat folds placeability
@@ -356,7 +230,6 @@ bool ScoreModel::provably_inf(int r, int c) const {
 }
 
 bool ScoreModel::skip_block(int c, int blk) const {
-  if (!fleet_mode_) return false;
   if (blk < 0 || blk >= static_cast<int>(block_free_cpu_.size())) {
     return false;  // the virtual row's tail block is never skippable
   }
@@ -502,13 +375,24 @@ void ScoreModel::invalidate_row(int r) {
 void ScoreModel::touch_row(int r) {
   const auto i = static_cast<std::size_t>(r);
   plan_touched_[i] = 1;
+  const double old_cpu = free_cpu_[i];
+  const double old_mem = free_mem_[i];
   free_cpu_[i] = placeable_[r] != 0
                      ? cap_cpu_[r] * kFleetOverMargin - cpu_res_[i]
                      : -1.0;
   free_mem_[i] = placeable_[r] != 0
                      ? cap_mem_[r] * kFleetOverMargin - mem_res_[i]
                      : -1.0;
-  rebuild_margin_block(r / kArgminBlock);
+  // A block maximum only needs a rescan when this row held it and shrank;
+  // otherwise folding the new margin in keeps it exact.
+  const auto blk = static_cast<std::size_t>(r / kArgminBlock);
+  if ((free_cpu_[i] < old_cpu && old_cpu == block_free_cpu_[blk]) ||
+      (free_mem_[i] < old_mem && old_mem == block_free_mem_[blk])) {
+    rebuild_margin_block(r / kArgminBlock);
+  } else {
+    block_free_cpu_[blk] = std::max(block_free_cpu_[blk], free_cpu_[i]);
+    block_free_mem_[blk] = std::max(block_free_mem_[blk], free_mem_[i]);
+  }
 }
 
 void ScoreModel::rebuild_margin_block(int blk) {
@@ -553,10 +437,8 @@ ScoreModel::Dirty ScoreModel::move(int r, int c) {
     running_[new_row] += v.cpu;
   }
   v.planned = r;
-  if (fleet_mode_) {
-    if (dirty.row_a >= 0) touch_row(dirty.row_a);
-    if (dirty.row_b >= 0) touch_row(dirty.row_b);
-  }
+  if (dirty.row_a >= 0) touch_row(dirty.row_a);
+  if (dirty.row_b >= 0) touch_row(dirty.row_b);
   {
     obs::PhaseProfiler::Scope scope(profiler_, obs::Phase::kInvalidate);
     if (dirty.row_a >= 0) invalidate_row(dirty.row_a);

@@ -11,6 +11,7 @@ namespace easched::core {
 namespace {
 
 using datacenter::VmId;
+using easched::testing::FreshModel;
 using easched::testing::SmallDc;
 using easched::testing::make_job;
 
@@ -27,7 +28,7 @@ double plan_cost(const ScoreModel& m) {
 
 TEST(Exhaustive, EmptyModelIsTrivial) {
   SmallDc f(2);
-  ScoreModel m(f.dc, {}, params(), false);
+  FreshModel m(f.dc, {}, params(), false);
   const auto result = exhaustive_search(m);
   EXPECT_EQ(result.evaluated, 0u);
 }
@@ -43,7 +44,7 @@ TEST(Exhaustive, SingleVmPicksGlobalMinimum) {
   const VmId v = dc.admit_job(make_job());
 
   ScoreParams p = params();  // Pvirt on: creation cost differentiates hosts
-  ScoreModel m(dc, {v}, p, false);
+  FreshModel m(dc, {v}, p, false);
   const auto result = exhaustive_search(m);
   EXPECT_EQ(m.plan_row(0), 1);  // the fast host (Cc = 30) wins
   // (M+1)^1 plans with the queue state included.
@@ -54,7 +55,7 @@ TEST(Exhaustive, EnumerationCountMatchesFormula) {
   SmallDc f(2);
   std::vector<VmId> queue;
   for (int i = 0; i < 3; ++i) queue.push_back(f.dc.admit_job(make_job()));
-  ScoreModel m(f.dc, queue, params(), false);
+  FreshModel m(f.dc, queue, params(), false);
   const auto result = exhaustive_search(m);
   // 3 queued columns x (2 hosts + virtual) = 3^3 = 27 complete plans.
   EXPECT_EQ(result.evaluated, 27u);
@@ -64,7 +65,7 @@ TEST(Exhaustive, RestoresModelToBestPlan) {
   SmallDc f(2);
   std::vector<VmId> queue{f.dc.admit_job(make_job(300, 512)),
                           f.dc.admit_job(make_job(300, 512))};
-  ScoreModel m(f.dc, queue, params(), false);
+  FreshModel m(f.dc, queue, params(), false);
   const auto result = exhaustive_search(m);
   EXPECT_NEAR(plan_cost(m), result.best_cost, 1e-9);
   // Two 300 % VMs cannot share a 400 % host: the best plan splits them.
@@ -75,7 +76,7 @@ TEST(Exhaustive, RespectsPlanCap) {
   SmallDc f(3);
   std::vector<VmId> queue;
   for (int i = 0; i < 5; ++i) queue.push_back(f.dc.admit_job(make_job()));
-  ScoreModel m(f.dc, queue, params(), false);
+  FreshModel m(f.dc, queue, params(), false);
   const auto result = exhaustive_search(m, /*max_plans=*/10);
   EXPECT_LE(result.evaluated, 10u);
 }
@@ -95,11 +96,11 @@ TEST(Exhaustive, HillClimbMatchesOptimumOnPlacementOnlyInstances) {
       queue.push_back(f.dc.admit_job(
           make_job(kCpu[rng.uniform_int(0, 2)], rng.uniform(128, 1024))));
     }
-    ScoreModel greedy_model(f.dc, queue, params(), false);
+    FreshModel greedy_model(f.dc, queue, params(), false);
     hill_climb(greedy_model, HillClimbLimits{});
     const double greedy_cost = plan_cost(greedy_model);
 
-    ScoreModel opt_model(f.dc, queue, params(), false);
+    FreshModel opt_model(f.dc, queue, params(), false);
     const auto opt = exhaustive_search(opt_model);
 
     EXPECT_GE(greedy_cost, opt.best_cost - 1e-9);  // optimum is a bound
@@ -130,11 +131,11 @@ TEST(Exhaustive, GreedyGapBoundedOnMixedInstances) {
     auto limits = HillClimbLimits{};
     limits.min_migration_gain = 1e-9;  // full freedom, like the optimum
     limits.max_migration_moves = 1000;
-    ScoreModel greedy_model(f.dc, queue, params(), true);
+    FreshModel greedy_model(f.dc, queue, params(), true);
     hill_climb(greedy_model, limits);
     const double greedy_cost = plan_cost(greedy_model);
 
-    ScoreModel opt_model(f.dc, queue, params(), true);
+    FreshModel opt_model(f.dc, queue, params(), true);
     const auto opt = exhaustive_search(opt_model);
 
     EXPECT_GE(greedy_cost, opt.best_cost - 1e-9);

@@ -7,7 +7,10 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/fleet.hpp"
+#include "core/score_matrix.hpp"
 #include "datacenter/datacenter.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/setup.hpp"
@@ -59,6 +62,34 @@ struct SmallDc {
     const auto v = dc.admit_job(job);
     dc.place(v, h);
     return v;
+  }
+};
+
+namespace detail {
+struct FleetHolder {
+  core::FleetState fleet;
+};
+}  // namespace detail
+
+/// A ScoreModel over its own freshly refreshed FleetState — every host
+/// read, no persisted columns — for tests that need one self-contained
+/// round's matrix. Rows are HostIds; rows of hosts that are off or in
+/// maintenance are present and constantly kInfScore (placeable(r) is
+/// false). Must not outlive `dc`.
+class FreshModel : private detail::FleetHolder, public core::ScoreModel {
+ public:
+  FreshModel(const datacenter::Datacenter& dc,
+             const std::vector<datacenter::VmId>& queued,
+             const core::ScoreParams& params, bool migration_enabled)
+      : core::ScoreModel(refreshed(fleet, dc, queued), dc, queued, params,
+                         migration_enabled) {}
+
+ private:
+  static core::FleetState& refreshed(
+      core::FleetState& fleet, const datacenter::Datacenter& dc,
+      const std::vector<datacenter::VmId>& queued) {
+    fleet.refresh(dc, queued);
+    return fleet;
   }
 };
 

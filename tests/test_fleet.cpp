@@ -1,10 +1,13 @@
 // Tests for the cross-round incremental scheduling core (core/fleet.hpp):
 //
 //   - the headline differential: a persistent FleetState driven through
-//     many mutated rounds must yield bit-identical score cells and
-//     hill-climb decisions to a from-scratch legacy rebuild every round;
-//   - end-to-end run identity (incremental vs reference policy, and 1 vs 4
-//     solver threads on the incremental path);
+//     many mutated rounds must yield score cells and hill-climb decisions
+//     bit-identical to the from-scratch ReferenceModel
+//     (tests/reference_model.hpp) every round;
+//   - the power-off differential: choose_power_off on the persistent
+//     snapshot picks exactly the reference row-aggregate argmax across
+//     consecutive calls, shuffled idle lists and unplaceable idle hosts;
+//   - end-to-end run identity (1 vs 4 solver threads) and a validated run;
 //   - targeted dirty-journal behavior: maintenance flips, journal
 //     deduplication, clean rounds re-reading nothing, clock-aged in-flight
 //     operations caught by the force-reread scan, and persistent column
@@ -16,8 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -26,6 +29,8 @@
 #include "core/score_matrix.hpp"
 #include "core/solver_pool.hpp"
 #include "experiments/runner.hpp"
+#include "reference_model.hpp"
+#include "resilience/resilience.hpp"
 #include "test_random_instances.hpp"
 #include "validate/invariant_checker.hpp"
 
@@ -37,43 +42,33 @@ using datacenter::VmId;
 using easched::testing::make_job;
 using easched::testing::make_random_instance;
 using easched::testing::RandomInstance;
+using easched::testing::ReferenceModel;
 using easched::testing::SmallDc;
 
-// ---- row translation --------------------------------------------------------
-// Fleet-mode rows are HostIds, legacy rows are compacted placeable hosts:
-// raw row indices differ between the layouts, so every comparison goes
-// through host ids (virtual rows map to a sentinel).
+// ---- model comparison -------------------------------------------------------
+// Both layouts index rows by HostId, so cells, traces and plans compare raw.
 
-constexpr HostId kVirtualSentinel = std::numeric_limits<HostId>::max();
-
-HostId row_host(const ScoreModel& m, int r) {
-  return r == m.virtual_row() ? kVirtualSentinel : m.host_at(r);
-}
-
-/// Bitwise cell equality between a fleet-mode and a legacy model of the
-/// same round, plus column identity and the all-inf guarantee for
-/// non-placeable fleet rows.
-void expect_models_equal(const ScoreModel& fleet, const ScoreModel& legacy,
+/// Bitwise cell equality between the fleet model and the reference spec of
+/// the same round, plus column identity and the all-inf guarantee for
+/// non-placeable rows.
+void expect_models_equal(const ScoreModel& fleet, const ReferenceModel& ref,
                          const datacenter::Datacenter& dc) {
-  ASSERT_TRUE(fleet.fleet_mode());
-  ASSERT_FALSE(legacy.fleet_mode());
-  ASSERT_EQ(fleet.cols(), legacy.cols());
-  for (int c = 0; c < legacy.cols(); ++c) {
-    ASSERT_EQ(fleet.vm_at(c), legacy.vm_at(c)) << "column order diverged";
-    ASSERT_EQ(fleet.movable(c), legacy.movable(c));
-    ASSERT_EQ(row_host(fleet, fleet.original_row(c)),
-              row_host(legacy, legacy.original_row(c)));
+  ASSERT_EQ(fleet.rows(), ref.rows());
+  ASSERT_EQ(fleet.cols(), ref.cols());
+  for (int c = 0; c < ref.cols(); ++c) {
+    ASSERT_EQ(fleet.vm_at(c), ref.vm_at(c)) << "column order diverged";
+    ASSERT_EQ(fleet.movable(c), ref.movable(c));
+    ASSERT_EQ(fleet.original_row(c), ref.original_row(c));
   }
-  for (int lr = 0; lr < legacy.virtual_row(); ++lr) {
-    const int fr = static_cast<int>(legacy.host_at(lr));
-    for (int c = 0; c < legacy.cols(); ++c) {
-      // EXPECT_EQ at zero tolerance: both layouts run the same arithmetic.
-      ASSERT_EQ(fleet.cell(fr, c), legacy.cell(lr, c))
-          << "cell diverged at host " << legacy.host_at(lr) << ", col " << c;
+  for (int r = 0; r < ref.virtual_row(); ++r) {
+    ASSERT_EQ(fleet.placeable(r), dc.placeable(static_cast<HostId>(r)));
+    for (int c = 0; c < ref.cols(); ++c) {
+      // ASSERT_EQ at zero tolerance: both sides run the same arithmetic.
+      ASSERT_EQ(fleet.cell(r, c), ref.cell(r, c))
+          << "cell diverged at host " << r << ", col " << c;
     }
   }
-  // Rows the legacy layout dropped (non-placeable hosts) must be
-  // constantly infinite in the fleet layout.
+  // Non-placeable hosts must be constantly infinite.
   for (HostId h = 0; h < dc.num_hosts(); ++h) {
     if (dc.placeable(h)) continue;
     for (int c = 0; c < fleet.cols(); ++c) {
@@ -83,29 +78,22 @@ void expect_models_equal(const ScoreModel& fleet, const ScoreModel& legacy,
   }
 }
 
-/// Host-translated trace/plan equality between a fleet-mode and a legacy
-/// solve: same columns, same hosts, bit-identical deltas, same final plan.
-void expect_same_decisions(const HillClimbStats& sf, const HillClimbStats& sl,
-                           const ScoreModel& fm, const ScoreModel& lm) {
-  ASSERT_EQ(sf.trace.size(), sl.trace.size()) << "move counts diverged";
-  for (std::size_t i = 0; i < sl.trace.size(); ++i) {
-    ASSERT_EQ(sf.trace[i].col, sl.trace[i].col) << "move " << i;
-    ASSERT_EQ(row_host(fm, sf.trace[i].from_row),
-              row_host(lm, sl.trace[i].from_row))
-        << "move " << i;
-    ASSERT_EQ(row_host(fm, sf.trace[i].to_row),
-              row_host(lm, sl.trace[i].to_row))
-        << "move " << i;
-    ASSERT_EQ(sf.trace[i].delta, sl.trace[i].delta) << "move " << i;
+/// Trace/plan equality between a fleet solve and a reference solve: same
+/// columns, same rows, bit-identical deltas, same final plan.
+template <typename ModelA, typename ModelB>
+void expect_same_decisions(const HillClimbStats& sa, const HillClimbStats& sb,
+                           const ModelA& ma, const ModelB& mb) {
+  ASSERT_EQ(sa.trace.size(), sb.trace.size()) << "move counts diverged";
+  for (std::size_t i = 0; i < sb.trace.size(); ++i) {
+    ASSERT_TRUE(sa.trace[i] == sb.trace[i]) << "move " << i;
   }
-  EXPECT_EQ(sf.moves, sl.moves);
-  EXPECT_EQ(sf.migration_moves, sl.migration_moves);
-  EXPECT_EQ(sf.hit_move_limit, sl.hit_move_limit);
-  EXPECT_EQ(sf.total_gain, sl.total_gain);  // same deltas, same order
-  ASSERT_EQ(fm.cols(), lm.cols());
-  for (int c = 0; c < lm.cols(); ++c) {
-    ASSERT_EQ(row_host(fm, fm.plan_row(c)), row_host(lm, lm.plan_row(c)))
-        << "plans diverge at col " << c;
+  EXPECT_EQ(sa.moves, sb.moves);
+  EXPECT_EQ(sa.migration_moves, sb.migration_moves);
+  EXPECT_EQ(sa.hit_move_limit, sb.hit_move_limit);
+  EXPECT_EQ(sa.total_gain, sb.total_gain);  // same deltas, same order
+  ASSERT_EQ(ma.cols(), mb.cols());
+  for (int c = 0; c < mb.cols(); ++c) {
+    ASSERT_EQ(ma.plan_row(c), mb.plan_row(c)) << "plans diverge at col " << c;
   }
 }
 
@@ -137,15 +125,15 @@ HillClimbLimits random_limits(support::Rng& rng) {
 /// What the policy does between rounds, compressed: place the queued VMs
 /// the (already-validated) plan put on real hosts, so the next round sees
 /// the datacenter the decisions produced.
-void apply_queued_placements(const ScoreModel& legacy, SmallDc& f,
+void apply_queued_placements(const ReferenceModel& ref, SmallDc& f,
                              std::vector<VmId>& queue) {
   std::vector<VmId> placed;
-  for (int c = 0; c < legacy.cols(); ++c) {
-    if (legacy.original_row(c) != legacy.virtual_row()) continue;
-    const int plan = legacy.plan_row(c);
-    if (plan == legacy.virtual_row()) continue;
-    const HostId h = legacy.host_at(plan);
-    const VmId v = legacy.vm_at(c);
+  for (int c = 0; c < ref.cols(); ++c) {
+    if (ref.original_row(c) != ref.virtual_row()) continue;
+    const int plan = ref.plan_row(c);
+    if (plan == ref.virtual_row()) continue;
+    const HostId h = ref.host_at(plan);
+    const VmId v = ref.vm_at(c);
     if (!f.dc.placeable(h) || !f.dc.fits(h, v)) continue;
     f.dc.place(v, h);
     placed.push_back(v);
@@ -176,8 +164,9 @@ void mutate_between_rounds(support::Rng& rng, SmallDc& f,
 
 class FleetDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The tentpole guarantee: a FleetState carried across mutated rounds
-// produces the exact cells and the exact decisions of a full rebuild.
+// The headline guarantee: a FleetState carried across mutated rounds
+// produces the exact cells of the from-scratch reference spec, and the
+// production climber on it replays the reference climber's exact moves.
 TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
   const std::uint64_t seed = GetParam();
   support::Rng rng{seed};
@@ -195,25 +184,27 @@ TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
       EXPECT_EQ(f.dc.fleet_dirty_count(), 0u);  // refresh drained it
 
       ScoreModel fm(fleet, f.dc, queue, inst.params, inst.migration);
-      ScoreModel lm(f.dc, queue, inst.params, inst.migration);
-      expect_models_equal(fm, lm, f.dc);
+      ReferenceModel ref(f.dc, queue, inst.params, inst.migration);
+      expect_models_equal(fm, ref, f.dc);
       if (::testing::Test::HasFatalFailure()) return;
 
       const HillClimbLimits limits = random_limits(rng);
       const HillClimbStats sf = hill_climb(fm, limits);
-      const HillClimbStats sl = hill_climb(lm, limits);
-      expect_same_decisions(sf, sl, fm, lm);
+      const HillClimbStats sr = hill_climb_reference(ref, limits);
+      expect_same_decisions(sf, sr, fm, ref);
+      if (::testing::Test::HasFatalFailure()) return;
+      expect_models_equal(fm, ref, f.dc);  // the moved plans agree too
       if (::testing::Test::HasFatalFailure()) return;
 
-      apply_queued_placements(lm, f, queue);
+      apply_queued_placements(ref, f, queue);
       mutate_between_rounds(rng, f, queue, maint);
     }
   }
 }
 
-// Threading must not change fleet-mode decisions: serial fleet, 4-thread
-// fleet and the legacy reference all agree on one round. (Fresh FleetStates
-// both take the full-init path, so sharing one drained journal is fine.)
+// Threading must not change decisions: serial fleet, 4-thread fleet and
+// the reference spec all agree on one round. (Fresh FleetStates both take
+// the full-init path, so sharing one drained journal is fine.)
 TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
   const std::uint64_t seed = GetParam() * 6151 + 11;
   support::Rng rng{seed};
@@ -226,33 +217,194 @@ TEST_P(FleetDifferential, ThreadedFleetMatchesSerialAndReference) {
     FleetState fs_ser, fs_thr;
     fs_ser.refresh(f.dc, inst.queue);
     fs_thr.refresh(f.dc, inst.queue);
-    ScoreModel m_leg(f.dc, inst.queue, inst.params, inst.migration);
+    ReferenceModel m_ref(f.dc, inst.queue, inst.params, inst.migration);
     ScoreModel m_ser(fs_ser, f.dc, inst.queue, inst.params, inst.migration);
-    ScoreModel m_thr(fs_thr, f.dc, inst.queue, inst.params, inst.migration,
-                     &pool4);
+    ScoreModel m_thr(fs_thr, f.dc, inst.queue, inst.params, inst.migration);
 
     const HillClimbLimits limits = random_limits(rng);
     HillClimbLimits l4 = limits;
     l4.pool = &pool4;
-    const HillClimbStats s_leg = hill_climb(m_leg, limits);
+    const HillClimbStats s_ref = hill_climb_reference(m_ref, limits);
     const HillClimbStats s_ser = hill_climb(m_ser, limits);
     const HillClimbStats s_thr = hill_climb(m_thr, l4);
 
-    expect_same_decisions(s_ser, s_leg, m_ser, m_leg);
+    expect_same_decisions(s_ser, s_ref, m_ser, m_ref);
     if (::testing::Test::HasFatalFailure()) return;
-    // Both fleet layouts index rows by HostId: traces compare raw.
-    ASSERT_EQ(s_thr.trace.size(), s_ser.trace.size());
-    for (std::size_t i = 0; i < s_ser.trace.size(); ++i) {
-      ASSERT_TRUE(s_thr.trace[i] == s_ser.trace[i]) << "move " << i;
-    }
-    for (int c = 0; c < m_ser.cols(); ++c) {
-      ASSERT_EQ(m_thr.plan_row(c), m_ser.plan_row(c));
-    }
+    expect_same_decisions(s_thr, s_ser, m_thr, m_ser);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// ---- power-off ranking ------------------------------------------------------
+
+/// The section III-C rule, spelled out over the reference spec: among the
+/// placeable idle hosts in ascending HostId, the first maximum of the row
+/// aggregate (creation + migration cost when the matrix has no columns)
+/// that beats -1; otherwise the front of the idle list as given.
+HostId reference_power_off(const datacenter::Datacenter& dc,
+                           const std::vector<VmId>& queue,
+                           const ScoreBasedConfig& cfg,
+                           const std::vector<HostId>& idle) {
+  const ReferenceModel ref(dc, queue, cfg.params, cfg.migration);
+  std::vector<HostId> ascending = idle;
+  std::sort(ascending.begin(), ascending.end());
+  HostId best = idle.front();
+  double best_score = -1;
+  for (const HostId h : ascending) {
+    if (!dc.placeable(h)) continue;
+    const auto& spec = dc.host(h).spec;
+    const double agg =
+        ref.cols() == 0 ? spec.creation_cost_s + spec.migration_cost_s
+                        : ref.row_aggregate(static_cast<int>(h));
+    if (agg > best_score) {
+      best_score = agg;
+      best = h;
+    }
+  }
+  return best;
+}
+
+/// What the instances exercised, so the test can insist every rule was hit.
+struct PowerOffCoverage {
+  int calls = 0;
+  int unplaceable_idle = 0;  ///< calls offering an unplaceable idle host
+  int ties = 0;              ///< calls with two placeable rows tied
+  int negative = 0;          ///< calls with a negative aggregate
+  int fallback = 0;          ///< calls answered by the front fallback
+  int empty_matrix = 0;      ///< calls ranked by overhead (no columns)
+};
+
+void note_coverage(PowerOffCoverage& cov, const datacenter::Datacenter& dc,
+                   const std::vector<VmId>& queue, const ScoreBasedConfig& cfg,
+                   const std::vector<HostId>& idle, HostId chosen) {
+  const ReferenceModel ref(dc, queue, cfg.params, cfg.migration);
+  ++cov.calls;
+  std::vector<double> aggs;
+  bool unplaceable = false;
+  for (const HostId h : idle) {
+    if (!dc.placeable(h)) {
+      unplaceable = true;
+      continue;
+    }
+    aggs.push_back(ref.row_aggregate(static_cast<int>(h)));
+  }
+  std::sort(aggs.begin(), aggs.end());
+  cov.unplaceable_idle += unplaceable ? 1 : 0;
+  cov.fallback += chosen == idle.front() &&
+                  (aggs.empty() || (ref.cols() > 0 && aggs.back() <= -1));
+  if (ref.cols() == 0) {
+    ++cov.empty_matrix;
+    return;
+  }
+  cov.ties += std::adjacent_find(aggs.begin(), aggs.end()) != aggs.end();
+  cov.negative += !aggs.empty() && aggs.front() < 0;
+}
+
+/// Random churn between two power-off calls: maintenance flips, breakers
+/// opening (placeability changes with no Datacenter mutation at all) and
+/// fresh queued jobs.
+void churn_power_round(support::Rng& rng, SmallDc& f,
+                       resilience::ResilienceController& rc,
+                       std::vector<VmId>& queue,
+                       std::vector<unsigned char>& maint, bool admit) {
+  const auto random_host = [&] {
+    return static_cast<HostId>(rng.uniform_int(0, f.dc.num_hosts() - 1));
+  };
+  if (rng.uniform01() < 0.4) {
+    const HostId h = random_host();
+    maint[h] ^= 1;
+    f.dc.set_maintenance(h, maint[h] != 0);
+  }
+  if (rng.uniform01() < 0.3) {
+    const HostId h = random_host();
+    rc.note_op_failure(h, f.simulator.now());
+    rc.note_op_failure(h, f.simulator.now());  // threshold 2: opens
+  }
+  if (admit && rng.uniform01() < 0.3) {
+    queue.push_back(f.dc.admit_job(random_job(rng, f.simulator.now())));
+  }
+}
+
+class FleetPowerOff : public ::testing::TestWithParam<std::uint64_t> {};
+
+// choose_power_off ranks on the persistent snapshot; across consecutive
+// calls — each turning the chosen host off, so the next call reads it
+// through the dirty journal — it must pick exactly the reference argmax.
+TEST_P(FleetPowerOff, ChoiceMatchesReferenceArgmax) {
+  const std::uint64_t seed = GetParam();
+  support::Rng rng{seed};
+  PowerOffCoverage cov;
+  for (int instance = 0; instance < 24; ++instance) {
+    RandomInstance inst = make_random_instance(rng, seed, instance,
+                                               /*max_hosts=*/12,
+                                               /*max_running=*/8,
+                                               /*max_queued=*/4);
+    SCOPED_TRACE(inst.describe());
+    SmallDc& f = *inst.fixture;
+    resilience::ResilienceConfig rconf;
+    rconf.enabled = true;
+    rconf.solver_budget_moves = 0;
+    rconf.max_pending = 0;
+    rconf.breaker_threshold = 2;
+    rconf.breaker_probe_after_s = 1e9;  // stays open for the whole test
+    resilience::ResilienceController rc(rconf, f.recorder, f.dc.num_hosts());
+    f.recorder.resilience = &rc;
+    validate::InvariantChecker ck;
+    f.recorder.validator = &ck;
+
+    ScoreBasedConfig cfg = ScoreBasedConfig::sb();
+    cfg.params = inst.params;
+    cfg.migration = inst.migration;
+    std::vector<VmId> queue = inst.queue;
+    const bool empty_matrix = rng.uniform01() < 0.25;
+    if (empty_matrix) {  // no columns: the overhead-cost ranking
+      queue.clear();
+      cfg.migration = false;
+    }
+    ScoreBasedPolicy policy(cfg);
+    std::vector<unsigned char> maint(f.dc.num_hosts(), 0);
+    support::Rng policy_rng{seed};
+
+    for (int call = 0; call < 6; ++call) {
+      SCOPED_TRACE(::testing::Message() << "call " << call);
+      churn_power_round(rng, f, rc, queue, maint, !empty_matrix);
+      std::vector<HostId> idle;
+      for (HostId h = 0; h < f.dc.num_hosts(); ++h) {
+        if (f.dc.host(h).is_idle_on()) idle.push_back(h);
+      }
+      if (idle.empty()) break;
+      for (std::size_t i = idle.size(); i > 1; --i) {  // shuffled order
+        std::swap(idle[i - 1], idle[rng.uniform_int(0, i - 1)]);
+      }
+
+      const sched::SchedContext ctx{f.dc, queue, policy_rng};
+      const HostId chosen = policy.choose_power_off(ctx, idle);
+      ASSERT_EQ(chosen, reference_power_off(f.dc, queue, cfg, idle));
+      note_coverage(cov, f.dc, queue, cfg, idle, chosen);
+
+      // Turn the chosen host off, as the power controller would, and let
+      // the shutdown complete before the next call.
+      f.dc.power_off(chosen);
+      f.simulator.run_until(f.simulator.now() + rng.uniform(30, 600));
+    }
+    EXPECT_TRUE(ck.ok()) << ck.violations().size() << " violations";
+    f.recorder.validator = nullptr;
+    f.recorder.resilience = nullptr;
+  }
+  // The instances must have exercised every rule the ranking keeps.
+  EXPECT_GT(cov.unplaceable_idle, 0);
+  EXPECT_GT(cov.ties, 0);
+  EXPECT_GT(cov.negative, 0);
+  EXPECT_GT(cov.fallback, 0);
+  EXPECT_GT(cov.empty_matrix, 0);
+  EXPECT_GT(cov.calls, 24);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FleetPowerOff,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---- dirty-journal behavior -------------------------------------------------
 
@@ -554,9 +706,8 @@ TEST(FleetChecker, CatchesCorruptedIndex) {
 
 // ---- end-to-end -------------------------------------------------------------
 
-experiments::RunConfig fleet_run_config(bool incremental, int threads = 0) {
+experiments::RunConfig fleet_run_config(int threads = 0) {
   ScoreBasedConfig cfg = ScoreBasedConfig::sb();
-  cfg.incremental = incremental;
   cfg.solver_threads = threads;
   experiments::RunConfig config = easched::testing::small_config("SB");
   config.policy_instance = std::make_unique<ScoreBasedPolicy>(cfg);
@@ -575,23 +726,11 @@ void expect_same_run(const experiments::RunResult& a,
   EXPECT_EQ(a.report.jobs_finished, b.report.jobs_finished);
 }
 
-// The whole-run guarantee behind the perf work: the incremental core
-// changes nothing about what the policy decides.
-TEST(FleetEndToEnd, IncrementalRunMatchesReferenceRun) {
-  const auto jobs = easched::testing::small_week();
-  const auto reference =
-      experiments::run_experiment(jobs, fleet_run_config(false));
-  const auto incremental =
-      experiments::run_experiment(jobs, fleet_run_config(true));
-  expect_same_run(incremental, reference);
-}
-
 TEST(FleetEndToEnd, SolverThreadCountDoesNotChangeDecisions) {
   const auto jobs = easched::testing::small_week();
-  const auto serial =
-      experiments::run_experiment(jobs, fleet_run_config(true, 1));
+  const auto serial = experiments::run_experiment(jobs, fleet_run_config(1));
   const auto threaded =
-      experiments::run_experiment(jobs, fleet_run_config(true, 4));
+      experiments::run_experiment(jobs, fleet_run_config(4));
   expect_same_run(threaded, serial);
 }
 
@@ -600,7 +739,7 @@ TEST(FleetEndToEnd, SolverThreadCountDoesNotChangeDecisions) {
 // diverge.
 TEST(FleetEndToEnd, ValidatedIncrementalRunIsViolationFree) {
   const auto jobs = easched::testing::small_week();
-  experiments::RunConfig config = fleet_run_config(true);
+  experiments::RunConfig config = fleet_run_config();
   config.validate.enabled = true;
   const auto result = experiments::run_experiment(jobs, std::move(config));
   EXPECT_TRUE(result.violations.empty())

@@ -16,6 +16,7 @@
 namespace easched::datacenter {
 namespace {
 
+using easched::testing::FreshModel;
 using easched::testing::make_chaos_plan;
 using easched::testing::make_job;
 
@@ -334,7 +335,7 @@ class SchedulingFuzzer {
 
   void round(bool consolidate) {
     sync_queue();
-    core::ScoreModel model(*dc_, queued_, params_, consolidate);
+    FreshModel model(*dc_, queued_, params_, consolidate);
     core::HillClimbLimits limits;
     limits.max_moves = 512;
     limits.min_migration_gain = 35;

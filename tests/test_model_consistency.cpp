@@ -13,6 +13,7 @@ namespace {
 
 using datacenter::HostId;
 using datacenter::VmId;
+using easched::testing::FreshModel;
 using easched::testing::SmallDc;
 using easched::testing::make_job;
 
@@ -46,7 +47,7 @@ TEST_P(ModelConsistency, PlannedOccupationMatchesReality) {
                  rng.uniform(128, 900))));
   }
 
-  ScoreModel model(f.dc, queue, ScoreParams{}, false);
+  FreshModel model(f.dc, queue, ScoreParams{}, false);
   hill_climb(model, HillClimbLimits{});
 
   // Apply the plan for queued columns and compare occupations.
@@ -74,8 +75,8 @@ TEST_P(ModelConsistency, HillClimbIsDeterministic) {
   std::vector<VmId> queue{f.dc.admit_job(make_job()),
                           f.dc.admit_job(make_job(200))};
 
-  ScoreModel a(f.dc, queue, ScoreParams{}, true);
-  ScoreModel b(f.dc, queue, ScoreParams{}, true);
+  FreshModel a(f.dc, queue, ScoreParams{}, true);
+  FreshModel b(f.dc, queue, ScoreParams{}, true);
   HillClimbLimits limits;
   const auto sa = hill_climb(a, limits);
   const auto sb = hill_climb(b, limits);
@@ -95,7 +96,7 @@ TEST(ModelConsistency, MatrixSnapshotDoesNotMutateDatacenter) {
   const double occ_before = f.dc.occupation(0);
   const auto events_before = f.simulator.pending();
 
-  ScoreModel model(f.dc, queue, ScoreParams{}, true);
+  FreshModel model(f.dc, queue, ScoreParams{}, true);
   hill_climb(model, HillClimbLimits{});
 
   // Planning is pure: the live system is untouched until actions apply.

@@ -1,31 +1,36 @@
 // Property tests for the ScoreModel's incremental evaluation: across
 // hundreds of randomized datacenters and random move sequences, every
-// cached cell must equal a fresh recomputation at ZERO tolerance — the
-// cache stores results of the same arithmetic, so even the last ulp must
-// match. This is the lockdown of the cache-invalidation contract described
-// in src/core/score_matrix.hpp.
+// cached cell must equal a fresh recomputation — and the independent
+// ReferenceModel spec — at ZERO tolerance: all three run the same
+// arithmetic, so even the last ulp must match. This is the lockdown of the
+// cache-invalidation contract described in src/core/score_matrix.hpp.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/score.hpp"
 #include "core/score_matrix.hpp"
-#include "core/solver_pool.hpp"
+#include "reference_model.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
 namespace {
 
+using easched::testing::FreshModel;
 using easched::testing::RandomInstance;
+using easched::testing::ReferenceModel;
 using easched::testing::make_random_instance;
 
-/// Bitwise check of every cell against a cache-bypassing recomputation.
-void expect_cache_fresh(const ScoreModel& model) {
+/// Bitwise check of every cell against a cache-bypassing recomputation
+/// and against the reference spec carried through the same moves.
+void expect_cache_fresh(const ScoreModel& model, const ReferenceModel& ref) {
   for (int r = 0; r < model.rows(); ++r) {
     for (int c = 0; c < model.cols(); ++c) {
-      // EXPECT_EQ, not EXPECT_NEAR: tolerance is exactly zero.
+      // ASSERT_EQ, not ASSERT_NEAR: tolerance is exactly zero.
       ASSERT_EQ(model.cell(r, c), model.recompute_cell(r, c))
           << "cache diverged at (" << r << ", " << c << ")";
+      ASSERT_EQ(model.cell(r, c), ref.cell(r, c))
+          << "reference diverged at (" << r << ", " << c << ")";
     }
   }
 }
@@ -60,37 +65,42 @@ TEST_P(ScoreCacheProperty, CachedCellsEqualFreshRecomputation) {
   for (int instance = 0; instance < 100; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
-    ScoreModel model(inst.fixture->dc, inst.queue, inst.params,
+    FreshModel model(inst.fixture->dc, inst.queue, inst.params,
                      inst.migration);
+    ReferenceModel ref(inst.fixture->dc, inst.queue, inst.params,
+                       inst.migration);
     if (model.cols() == 0) continue;
 
-    expect_cache_fresh(model);  // cold cache / static-term build
+    expect_cache_fresh(model, ref);  // cold cache / lazy static terms
     const int moves = static_cast<int>(rng.uniform_int(1, 12));
     for (int m = 0; m < moves; ++m) {
       int r = -1, c = -1;
       if (!random_move(rng, model, &r, &c)) break;
       model.move(r, c);
-      expect_cache_fresh(model);
+      ref.move(r, c);
+      expect_cache_fresh(model, ref);
       ASSERT_EQ(model.plan_row(c), r);
     }
   }
 }
 
 // Read order must not matter: two models fed the same moves but read in
-// different orders (one primed, one lazily and sparsely read) agree
-// bitwise on every cell.
+// different orders (one fully read row-major up front, one lazily and
+// sparsely read) agree bitwise on every cell.
 TEST_P(ScoreCacheProperty, ReadOrderDoesNotAffectValues) {
   const std::uint64_t seed = GetParam() * 1000003 + 17;
   support::Rng rng{seed};
   for (int instance = 0; instance < 40; ++instance) {
     RandomInstance inst = make_random_instance(rng, seed, instance);
     SCOPED_TRACE(inst.describe());
-    ScoreModel primed(inst.fixture->dc, inst.queue, inst.params,
+    FreshModel primed(inst.fixture->dc, inst.queue, inst.params,
                       inst.migration);
-    ScoreModel lazy(inst.fixture->dc, inst.queue, inst.params,
+    FreshModel lazy(inst.fixture->dc, inst.queue, inst.params,
                     inst.migration);
     if (primed.cols() == 0) continue;
-    primed.prime();
+    for (int r = 0; r < primed.rows(); ++r) {
+      for (int c = 0; c < primed.cols(); ++c) (void)primed.cell(r, c);
+    }
 
     const int moves = static_cast<int>(rng.uniform_int(1, 10));
     for (int m = 0; m < moves; ++m) {
@@ -113,29 +123,6 @@ TEST_P(ScoreCacheProperty, ReadOrderDoesNotAffectValues) {
   }
 }
 
-// A pooled build must produce the exact cells of a serial build: the
-// static-term construction and prime() sweep are partitioned by rows, and
-// every partition computes the same arithmetic.
-TEST_P(ScoreCacheProperty, PooledBuildMatchesSerialBuild) {
-  const std::uint64_t seed = GetParam() * 7919 + 3;
-  support::Rng rng{seed};
-  SolverPool pool(4);
-  for (int instance = 0; instance < 25; ++instance) {
-    RandomInstance inst = make_random_instance(rng, seed, instance);
-    SCOPED_TRACE(inst.describe());
-    ScoreModel serial(inst.fixture->dc, inst.queue, inst.params,
-                      inst.migration);
-    ScoreModel pooled(inst.fixture->dc, inst.queue, inst.params,
-                      inst.migration, &pool);
-    pooled.prime();
-    for (int r = 0; r < serial.rows(); ++r) {
-      for (int c = 0; c < serial.cols(); ++c) {
-        ASSERT_EQ(serial.cell(r, c), pooled.cell(r, c));
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ScoreCacheProperty,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
 
@@ -144,7 +131,7 @@ TEST(ScoreCache, RowAggregateTracksMoves) {
   support::Rng rng{42};
   RandomInstance inst = make_random_instance(rng, 42, 0);
   SCOPED_TRACE(inst.describe());
-  ScoreModel model(inst.fixture->dc, inst.queue, inst.params,
+  FreshModel model(inst.fixture->dc, inst.queue, inst.params,
                    inst.migration);
   ASSERT_GT(model.cols(), 0);
 

@@ -11,6 +11,7 @@ namespace {
 using datacenter::HostState;
 using datacenter::VmId;
 using datacenter::VmState;
+using easched::testing::FreshModel;
 using easched::testing::SmallDc;
 using easched::testing::make_job;
 
@@ -23,16 +24,33 @@ TEST(ScoreModel, RowsAreOnHostsPlusVirtual) {
   SmallDc f(3);
   f.dc.power_off(2);
   f.simulator.run_until(20.0);
-  ScoreModel m(f.dc, {}, default_params(), false);
-  EXPECT_EQ(m.rows(), 3);  // 2 on + virtual
-  EXPECT_EQ(m.virtual_row(), 2);
+  FreshModel m(f.dc, {}, default_params(), false);
+  // One row per host plus the virtual row; only the 2 on hosts accept
+  // placements.
+  EXPECT_EQ(m.rows(), 4);
+  EXPECT_EQ(m.virtual_row(), 3);
+  EXPECT_TRUE(m.placeable(0));
+  EXPECT_TRUE(m.placeable(1));
+  EXPECT_FALSE(m.placeable(2));
   EXPECT_EQ(m.cols(), 0);
+}
+
+TEST(ScoreModel, OffHostRowIsInfinite) {
+  SmallDc f(3);
+  f.dc.power_off(1);
+  f.simulator.run_until(20.0);
+  const VmId v = f.dc.admit_job(make_job());
+  FreshModel m(f.dc, {v}, default_params(), false);
+  EXPECT_FALSE(is_inf_score(m.cell(0, 0)));
+  EXPECT_TRUE(is_inf_score(m.cell(1, 0)));
+  EXPECT_FALSE(is_inf_score(m.cell(2, 0)));
+  EXPECT_EQ(m.host_at(2), 2u);
 }
 
 TEST(ScoreModel, QueuedVmsAreColumnsAtVirtualRow) {
   SmallDc f(2);
   const VmId v = f.dc.admit_job(make_job());
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   EXPECT_EQ(m.cols(), 1);
   EXPECT_EQ(m.plan_row(0), m.virtual_row());
   EXPECT_EQ(m.original_row(0), m.virtual_row());
@@ -43,7 +61,7 @@ TEST(ScoreModel, QueuedVmsAreColumnsAtVirtualRow) {
 TEST(ScoreModel, VirtualRowIsInfinite) {
   SmallDc f(2);
   const VmId v = f.dc.admit_job(make_job());
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   EXPECT_TRUE(is_inf_score(m.cell(m.virtual_row(), 0)));
 }
 
@@ -51,9 +69,9 @@ TEST(ScoreModel, RunningVmsOnlyColumnsWhenMigrating) {
   SmallDc f(2);
   f.admit_and_place(make_job(), 0);
   f.simulator.run_until(100.0);  // running
-  ScoreModel without(f.dc, {}, default_params(), false);
+  FreshModel without(f.dc, {}, default_params(), false);
   EXPECT_EQ(without.cols(), 0);
-  ScoreModel with(f.dc, {}, default_params(), true);
+  FreshModel with(f.dc, {}, default_params(), true);
   EXPECT_EQ(with.cols(), 1);
   EXPECT_EQ(with.plan_row(0), with.original_row(0));
   EXPECT_NE(with.original_row(0), with.virtual_row());
@@ -62,14 +80,14 @@ TEST(ScoreModel, RunningVmsOnlyColumnsWhenMigrating) {
 TEST(ScoreModel, VmWithOperationInFlightIsExcluded) {
   SmallDc f(2);
   f.admit_and_place(make_job(), 0);  // creating
-  ScoreModel m(f.dc, {}, default_params(), true);
+  FreshModel m(f.dc, {}, default_params(), true);
   EXPECT_EQ(m.cols(), 0);
 }
 
 TEST(ScoreModel, NewVmCellIsCreationCostMinusPowerTerm) {
   SmallDc f(1);  // one empty medium host: Cc = 40
   const VmId v = f.dc.admit_job(make_job(100, 512));
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   // Score = Pvirt(Cc=40) + Ppwr(Tempty=1 -> 20 - O*40), O = 0.25.
   EXPECT_NEAR(m.cell(0, 0), 40.0 + 20.0 - 10.0, 1e-9);
 }
@@ -79,7 +97,7 @@ TEST(ScoreModel, ResourceInfeasibilityIsInfinite) {
   f.admit_and_place(make_job(300, 512, 10000), 0);
   f.simulator.run_until(100.0);
   const VmId v = f.dc.admit_job(make_job(200, 512));
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   EXPECT_TRUE(is_inf_score(m.cell(0, 0)));  // 300+200 > 400
 }
 
@@ -92,7 +110,7 @@ TEST(ScoreModel, HardwareMismatchIsInfinite) {
   metrics::Recorder recorder(1);
   datacenter::Datacenter dc(simulator, config, recorder);
   const VmId v = dc.admit_job(make_job());
-  ScoreModel m(dc, {v}, default_params(), false);
+  FreshModel m(dc, {v}, default_params(), false);
   EXPECT_TRUE(is_inf_score(m.cell(0, 0)));
 }
 
@@ -103,8 +121,8 @@ TEST(ScoreModel, ConcurrencyPenaltyCountsInFlightOps) {
   ScoreParams with_conc = default_params();
   ScoreParams no_conc = default_params();
   no_conc.use_conc = false;
-  ScoreModel a(f.dc, {v}, with_conc, false);
-  ScoreModel b(f.dc, {v}, no_conc, false);
+  FreshModel a(f.dc, {v}, with_conc, false);
+  FreshModel b(f.dc, {v}, no_conc, false);
   // Host 0 busy creating -> Pconc ~= 40 extra there; host 1 clean.
   EXPECT_NEAR(a.cell(0, 0) - b.cell(0, 0), 40.0, 1.0);
   EXPECT_NEAR(a.cell(1, 0), b.cell(1, 0), 1e-9);
@@ -116,7 +134,7 @@ TEST(ScoreModel, PowerTermPrefersFullerHost) {
   f.admit_and_place(make_job(100, 512, 10000), 0);  // host 0 busy-ish
   f.simulator.run_until(200.0);
   const VmId v = f.dc.admit_job(make_job(100, 512));
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   EXPECT_LT(m.cell(0, 0), m.cell(1, 0));  // fuller host scores lower
 }
 
@@ -132,7 +150,7 @@ TEST(ScoreModel, FaultTermPrefersReliableHost) {
   const VmId v = dc.admit_job(make_job());
   ScoreParams params = default_params();
   params.use_fault = true;
-  ScoreModel m(dc, {v}, params, false);
+  FreshModel m(dc, {v}, params, false);
   EXPECT_LT(m.cell(0, 0), m.cell(1, 0));
   EXPECT_NEAR(m.cell(1, 0) - m.cell(0, 0), 0.1 * params.c_fail, 1e-9);
 }
@@ -147,8 +165,8 @@ TEST(ScoreModel, SlaTermChargesProjectedViolation) {
   f.simulator.run_until(1500.0);
   ScoreParams with_sla = default_params();
   with_sla.use_sla = true;
-  ScoreModel a(f.dc, {v}, with_sla, false);
-  ScoreModel b(f.dc, {v}, default_params(), false);
+  FreshModel a(f.dc, {v}, with_sla, false);
+  FreshModel b(f.dc, {v}, default_params(), false);
   const double sla_term = a.cell(0, 0) - b.cell(0, 0);
   EXPECT_GE(sla_term, with_sla.c_sla);
 }
@@ -156,7 +174,7 @@ TEST(ScoreModel, SlaTermChargesProjectedViolation) {
 TEST(ScoreModel, MoveUpdatesPlanAndBookkeeping) {
   SmallDc f(2);
   const VmId v = f.dc.admit_job(make_job(200, 1024));
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   const double empty_cell_before = m.cell(1, 0);
   const auto dirty = m.move(0, 0);
   EXPECT_EQ(dirty.col, 0);
@@ -172,7 +190,7 @@ TEST(ScoreModel, MoveMakesHostLookOccupiedToOthers) {
   SmallDc f(1);
   const VmId a = f.dc.admit_job(make_job(300, 512));
   const VmId b = f.dc.admit_job(make_job(200, 512));
-  ScoreModel m(f.dc, {a, b}, default_params(), false);
+  FreshModel m(f.dc, {a, b}, default_params(), false);
   EXPECT_FALSE(is_inf_score(m.cell(0, 1)));
   m.move(0, 0);  // plan a on host 0
   EXPECT_TRUE(is_inf_score(m.cell(0, 1)));  // 300+200 > 400 hypothetically
@@ -181,7 +199,7 @@ TEST(ScoreModel, MoveMakesHostLookOccupiedToOthers) {
 TEST(ScoreModel, MoveBackAndForthRestoresScores) {
   SmallDc f(2);
   const VmId v = f.dc.admit_job(make_job());
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   const double h0 = m.cell(0, 0);
   const double h1 = m.cell(1, 0);
   m.move(0, 0);
@@ -195,13 +213,13 @@ TEST(ScoreModel, StayingHomeCostsNoVirtTerm) {
   SmallDc f(2);
   const VmId v = f.admit_and_place(make_job(100, 512, 10000), 0);
   f.simulator.run_until(100.0);
-  ScoreModel m(f.dc, {}, default_params(), true);
+  FreshModel m(f.dc, {}, default_params(), true);
   ASSERT_EQ(m.cols(), 1);
   const int home = m.plan_row(0);
   const int away = home == 0 ? 1 : 0;
   ScoreParams no_virt = default_params();
   no_virt.use_virt = false;
-  ScoreModel base(f.dc, {}, no_virt, true);
+  FreshModel base(f.dc, {}, no_virt, true);
   // Home cell identical with/without Pvirt; away cell differs by Pm.
   EXPECT_DOUBLE_EQ(m.cell(home, 0), base.cell(home, 0));
   EXPECT_GT(m.cell(away, 0), base.cell(away, 0));
@@ -213,7 +231,7 @@ TEST(ScoreModel, RowAggregateRanksBusyRowsHigher) {
   f.admit_and_place(make_job(300, 512, 10000), 0);
   f.simulator.run_until(100.0);
   const VmId v = f.dc.admit_job(make_job(200, 512));
-  ScoreModel m(f.dc, {v}, default_params(), false);
+  FreshModel m(f.dc, {v}, default_params(), false);
   // Host 0 cannot take the VM (infinite cell): its aggregate must exceed
   // host 1's all-finite aggregate.
   EXPECT_GT(m.row_aggregate(0), m.row_aggregate(1));

@@ -1,8 +1,9 @@
 // Differential tests locking the production hill climber to its executable
 // specification: across randomized instances, hill_climb() (serial and
-// threaded) must produce the exact move sequence — column, rows and
-// bit-identical delta — and final plan of hill_climb_reference(), and on
-// small instances selected seeds must reach the exhaustive optimum.
+// threaded) on the production ScoreModel must produce the exact move
+// sequence — column, rows and bit-identical delta — and final plan of
+// hill_climb_reference() on the independent ReferenceModel, and on small
+// instances selected seeds must reach the exhaustive optimum.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,12 +12,15 @@
 #include "core/hill_climb.hpp"
 #include "core/score_matrix.hpp"
 #include "core/solver_pool.hpp"
+#include "reference_model.hpp"
 #include "test_random_instances.hpp"
 
 namespace easched::core {
 namespace {
 
+using easched::testing::FreshModel;
 using easched::testing::RandomInstance;
+using easched::testing::ReferenceModel;
 using easched::testing::make_random_instance;
 
 double plan_cost(const ScoreModel& model) {
@@ -27,8 +31,9 @@ double plan_cost(const ScoreModel& model) {
   return sum;
 }
 
+template <typename ModelA, typename ModelB>
 void expect_same_outcome(const HillClimbStats& a, const HillClimbStats& b,
-                         const ScoreModel& ma, const ScoreModel& mb) {
+                         const ModelA& ma, const ModelB& mb) {
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     ASSERT_TRUE(a.trace[i] == b.trace[i])
@@ -70,14 +75,14 @@ TEST_P(SolverEquivalence, IncrementalAndThreadedMatchReference) {
     }
     if (rng.uniform01() < 0.3) limits.min_migration_gain = 35;
 
-    ScoreModel m_ref(inst.fixture->dc, inst.queue, inst.params,
+    ReferenceModel m_ref(inst.fixture->dc, inst.queue, inst.params,
+                         inst.migration);
+    FreshModel m_ser(inst.fixture->dc, inst.queue, inst.params,
                      inst.migration);
-    ScoreModel m_ser(inst.fixture->dc, inst.queue, inst.params,
-                     inst.migration);
-    ScoreModel m_p2(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-                    &pool2);
-    ScoreModel m_p4(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-                    &pool4);
+    FreshModel m_p2(inst.fixture->dc, inst.queue, inst.params,
+                    inst.migration);
+    FreshModel m_p4(inst.fixture->dc, inst.queue, inst.params,
+                    inst.migration);
 
     const HillClimbStats s_ref = hill_climb_reference(m_ref, limits);
     const HillClimbStats s_ser = hill_climb(m_ser, limits);
@@ -105,11 +110,9 @@ TEST_P(SolverEquivalence, PoolReuseIsStable) {
   HillClimbLimits limits;
   limits.pool = &pool;
 
-  ScoreModel a(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-               &pool);
+  FreshModel a(inst.fixture->dc, inst.queue, inst.params, inst.migration);
   const HillClimbStats sa = hill_climb(a, limits);
-  ScoreModel b(inst.fixture->dc, inst.queue, inst.params, inst.migration,
-               &pool);
+  FreshModel b(inst.fixture->dc, inst.queue, inst.params, inst.migration);
   const HillClimbStats sb = hill_climb(b, limits);
   expect_same_outcome(sa, sb, a, b);
 }
@@ -130,8 +133,8 @@ TEST_P(SolverOptimality, HillClimbReachesExhaustiveOptimum) {
                                              /*max_running=*/3,
                                              /*max_queued=*/2);
   SCOPED_TRACE(inst.describe());
-  ScoreModel m_hc(inst.fixture->dc, inst.queue, inst.params, inst.migration);
-  ScoreModel m_ex(inst.fixture->dc, inst.queue, inst.params, inst.migration);
+  FreshModel m_hc(inst.fixture->dc, inst.queue, inst.params, inst.migration);
+  FreshModel m_ex(inst.fixture->dc, inst.queue, inst.params, inst.migration);
   ASSERT_LE(m_hc.rows(), 5);
   ASSERT_LE(m_hc.cols(), 5);
 
@@ -151,7 +154,7 @@ TEST(SolverEquivalence, EmptyQueueNoMigrationIsANoOp) {
   RandomInstance inst = make_random_instance(rng, 77, 0);
   SCOPED_TRACE(inst.describe());
   const std::vector<datacenter::VmId> empty;
-  ScoreModel model(inst.fixture->dc, empty, inst.params,
+  FreshModel model(inst.fixture->dc, empty, inst.params,
                    /*migration_enabled=*/false);
   ASSERT_EQ(model.cols(), 0);
   const HillClimbStats stats = hill_climb(model, HillClimbLimits{});

@@ -21,6 +21,7 @@ namespace {
 
 using datacenter::HostState;
 using easched::testing::chaos_experiment_plan;
+using easched::testing::FreshModel;
 using easched::testing::chaos_workload;
 using easched::testing::make_job;
 using easched::testing::make_random_instance;
@@ -117,7 +118,7 @@ TEST(InvariantChecker, CatchesIllegalPowerTransition) {
 TEST(InvariantChecker, CatchesCorruptedScoreCache) {
   support::Rng rng{42};
   auto inst = make_random_instance(rng, 42, 0);
-  core::ScoreModel model(inst.fixture->dc, inst.queue, inst.params,
+  FreshModel model(inst.fixture->dc, inst.queue, inst.params,
                          inst.migration);
   ASSERT_GT(model.cols(), 0);
 
