@@ -1,7 +1,8 @@
 // Attribution overhead + conservation check: the energy ledger and
 // decision log must be free when not enabled, and exact when they are.
 //
-// Mirrors bench_obs_overhead's interleaved-repeat methodology:
+// Three configurations of the same run are timed (bench_common.hpp's
+// interleaved overhead harness):
 //   baseline    — no Observability bundle (recorder.obs == null)
 //   disabled    — bundle attached, ledger/decisions not enabled (the
 //                 runtime null sink every instrumented call site pays)
@@ -14,135 +15,52 @@
 // slack for timer jitter), and (c) the attributed run's per-host joules
 // sum to the aggregate RunReport energy within 0.1% — the ledger watches
 // the identical power signal, so the books must balance.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <vector>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
 #include "support/cli.hpp"
 
-namespace {
-
 using namespace easched;
-
-workload::Workload overhead_workload() {
-  workload::SyntheticConfig c;
-  c.seed = bench::kSeed;
-  c.span_seconds = 7.0 * sim::kDay;
-  c.mean_jobs_per_hour = 25;
-  return workload::generate(c);
-}
-
-experiments::RunConfig overhead_config(obs::Observability* bundle) {
-  experiments::RunConfig config;
-  config.datacenter.hosts = experiments::evaluation_hosts(8, 20, 12);
-  config.datacenter.seed = bench::kSeed;
-  config.policy = "SB";
-  config.horizon_s = 90 * sim::kDay;
-  config.obs = bundle;
-  return config;
-}
-
-struct Timed {
-  std::vector<double> ms;
-  experiments::RunResult result;
-};
-
-void time_once(Timed& out, const workload::Workload& jobs,
-               obs::Observability* bundle) {
-  const auto begin = std::chrono::steady_clock::now();
-  auto result = experiments::run_experiment(jobs, overhead_config(bundle));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  out.result = std::move(result);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2]
-                                  : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   support::CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const int repeats = static_cast<int>(args.get_int("repeats", 7));
+  const int repeats = bench::gate_repeats(args);
   args.warn_unrecognized();
 
-  const auto jobs = overhead_workload();
+  const auto jobs = bench::overhead_workload();
   std::printf(
       "attribution overhead: %zu jobs, median of %d interleaved runs each\n",
       jobs.size(), repeats);
 
-  {
-    Timed warmup;  // untimed: pays first-touch allocator/page-cache costs
-    time_once(warmup, jobs, nullptr);
-  }
-
-  Timed baseline, disabled, attributed;
   obs::Observability disabled_bundle;  // attached, nothing enabled
-  for (int i = 0; i < repeats; ++i) {
-    time_once(baseline, jobs, nullptr);
-    time_once(disabled, jobs, &disabled_bundle);
-    // The ledger accumulates across runs, so the attributed configuration
-    // gets a fresh bundle each repeat (construction cost is noise at this
-    // run length).
-    obs::Observability attributed_bundle;
-    attributed_bundle.ledger.enable();
-    attributed_bundle.decisions.enable();
-    time_once(attributed, jobs, &attributed_bundle);
-    if (i == repeats - 1) {
-      // Conservation check on the final repeat's ledger.
-      const double ledger_kwh =
-          attributed_bundle.ledger.total_j() / 3.6e6;
-      const double report_kwh = attributed.result.report.energy_kwh;
-      std::printf("  ledger %0.6f kWh vs report %0.6f kWh (rel %.2e)\n",
-                  ledger_kwh, report_kwh,
-                  report_kwh > 0
-                      ? std::fabs(ledger_kwh - report_kwh) / report_kwh
-                      : 0.0);
-      attributed.result.report.duration_s =
-          attributed.result.report.duration_s;  // keep result in scope
-#if EASCHED_TRACE_ENABLED
-      if (smoke) {
-        const bool conserved =
-            report_kwh > 0 &&
-            std::fabs(ledger_kwh - report_kwh) / report_kwh <= 1e-3;
-        const bool decided =
-            attributed_bundle.decisions.size() > 0;
-        if (!conserved) {
-          std::printf(
-              "SMOKE FAIL: ledger joules within 0.1%% of RunReport\n");
-          return 1;
-        }
-        if (!decided) {
-          std::printf("SMOKE FAIL: decision log recorded decisions\n");
-          return 1;
-        }
-      }
-#else
-      // EASCHED_TRACE=OFF compiles the instrumentation out: the ledger
-      // stays empty by design, so only the overhead budget applies.
-      std::printf("  (EASCHED_TRACE=OFF: conservation check skipped)\n");
-#endif
-    }
-  }
+  // The ledger accumulates across runs, so the attributed configuration
+  // gets a fresh bundle each repeat.
+  std::unique_ptr<obs::Observability> attributed_bundle;
+  bench::Arm baseline{[] { return bench::overhead_config(); }};
+  bench::Arm disabled{[&] { return bench::overhead_config(&disabled_bundle); }};
+  bench::Arm attributed{[&] {
+    attributed_bundle = std::make_unique<obs::Observability>();
+    attributed_bundle->ledger.enable();
+    attributed_bundle->decisions.enable();
+    return bench::overhead_config(attributed_bundle.get());
+  }};
+  bench::time_interleaved(jobs, repeats, {&baseline, &disabled, &attributed});
 
-  std::vector<double> disabled_delta, attributed_delta;
-  for (int i = 0; i < repeats; ++i) {
-    disabled_delta.push_back(disabled.ms[i] - baseline.ms[i]);
-    attributed_delta.push_back(attributed.ms[i] - baseline.ms[i]);
-  }
-  const double base_ms = median(baseline.ms);
-  const double disabled_ms = median(disabled_delta);
-  const double attributed_ms = median(attributed_delta);
+  // Conservation check on the final repeat's ledger.
+  const double ledger_kwh = attributed_bundle->ledger.total_j() / 3.6e6;
+  const double report_kwh = attributed.result.report.energy_kwh;
+  const double rel =
+      report_kwh > 0 ? std::fabs(ledger_kwh - report_kwh) / report_kwh : 0.0;
+  std::printf("  ledger %0.6f kWh vs report %0.6f kWh (rel %.2e)\n",
+              ledger_kwh, report_kwh, rel);
+
+  const double base_ms = bench::median(baseline.ms);
+  const double disabled_ms = bench::median_delta(disabled, baseline);
+  const double attributed_ms = bench::median_delta(attributed, baseline);
 
   std::printf("  baseline    %8.1f ms\n", base_ms);
   std::printf("  disabled    %+8.1f ms  (%+.2f%%)\n", disabled_ms,
@@ -152,30 +70,23 @@ int main(int argc, char** argv) {
 
   if (!smoke) return 0;
 
-  int bad = 0;
-  const auto require = [&bad](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("SMOKE FAIL: %s\n", what);
-      bad = 1;
-    }
-  };
-  require(disabled.result.events_dispatched ==
-                  baseline.result.events_dispatched &&
-              disabled.result.report.energy_kwh ==
-                  baseline.result.report.energy_kwh &&
-              disabled.result.report.migrations ==
-                  baseline.result.report.migrations,
-          "disabled-attribution run is bit-identical to the baseline");
-  require(disabled_bundle.ledger.total_j() == 0,
-          "disabled ledger integrated no joules");
-  require(disabled_bundle.decisions.size() == 0,
-          "disabled decision log recorded no decisions");
-  require(attributed.result.report.energy_kwh ==
-              baseline.result.report.energy_kwh,
-          "attribution does not perturb the simulation");
-  // <= 2 % relative, with 5 ms of absolute slack against timer jitter.
-  require(disabled_ms <= base_ms * 0.02 + 5.0,
-          "disabled-attribution overhead within 2% of baseline");
-  if (bad == 0) std::printf("SMOKE OK\n");
-  return bad;
+  bench::Smoke gate;
+  gate.require(report_kwh > 0 && rel <= 1e-3,
+               "ledger joules within 0.1% of RunReport");
+  gate.require(attributed_bundle->decisions.size() > 0,
+               "decision log recorded decisions");
+  gate.require_identical(disabled.result, baseline.result,
+                         "disabled-attribution run is bit-identical to the "
+                         "baseline");
+  gate.require(disabled_bundle.ledger.total_j() == 0,
+               "disabled ledger integrated no joules");
+  gate.require(disabled_bundle.decisions.size() == 0,
+               "disabled decision log recorded no decisions");
+  gate.require(attributed.result.report.energy_kwh ==
+                   baseline.result.report.energy_kwh,
+               "attribution does not perturb the simulation");
+  gate.require_overhead(disabled_ms, base_ms,
+                        "disabled-attribution overhead within 2% of "
+                        "baseline");
+  return gate.verdict();
 }

@@ -6,13 +6,11 @@
 //                    steady-state arrival/dispatch pattern)
 //   cancel_resched — cancel + re-push against a standing live set (the
 //                    simulator's VM-finish rescheduling pattern)
-//   whole_run_week — events/sec of the full SB week reproduction, measured
-//                    through whichever queue the build selected (see
-//                    EASCHED_SIM_REFERENCE_QUEUE in event_queue.hpp)
+//   whole_run_week — events/sec of the full SB week reproduction
 //   sweep          — wall-clock of a small threshold grid under
 //                    SweepRunner(1) vs SweepRunner(4)
 //
-// Both microbench sections drive PooledEventQueue and ReferenceEventQueue
+// Both microbench sections drive EventQueue and ReferenceEventQueue
 // in the same binary, interleaved within each repeat so machine-wide drift
 // biases both equally.
 //
@@ -21,7 +19,6 @@
 // the reference on either pattern (small multiplicative slack for timer
 // jitter). `--json` emits the measurements as JSON for
 // scripts/refresh_bench.sh to assemble into BENCH_sim.json.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -29,8 +26,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/reference_event_queue.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -40,13 +37,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0
-               : (n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]));
 }
 
 /// Push `n` events at pseudo-random times, then pop the queue dry.
@@ -115,18 +105,20 @@ int main(int argc, char** argv) {
   const int cr_rounds = smoke ? 30000 : 100000;
   std::vector<double> churn_pooled, churn_ref, cr_pooled, cr_ref;
   for (int r = 0; r < reps; ++r) {
-    churn_pooled.push_back(churn_once<sim::PooledEventQueue>(churn_n, sink));
+    churn_pooled.push_back(churn_once<sim::EventQueue>(churn_n, sink));
     churn_ref.push_back(churn_once<sim::ReferenceEventQueue>(churn_n, sink));
     cr_pooled.push_back(
-        cancel_resched_once<sim::PooledEventQueue>(cr_live, cr_rounds, sink));
+        cancel_resched_once<sim::EventQueue>(cr_live, cr_rounds, sink));
     cr_ref.push_back(cancel_resched_once<sim::ReferenceEventQueue>(
         cr_live, cr_rounds, sink));
   }
   // churn does one push + one pop per event.
-  const double churn_pooled_ns = median(churn_pooled) * 1e6 / (2.0 * churn_n);
-  const double churn_ref_ns = median(churn_ref) * 1e6 / (2.0 * churn_n);
-  const double cr_pooled_ns = median(cr_pooled) * 1e6 / cr_rounds;
-  const double cr_ref_ns = median(cr_ref) * 1e6 / cr_rounds;
+  const double churn_pooled_ns =
+      bench::median(churn_pooled) * 1e6 / (2.0 * churn_n);
+  const double churn_ref_ns =
+      bench::median(churn_ref) * 1e6 / (2.0 * churn_n);
+  const double cr_pooled_ns = bench::median(cr_pooled) * 1e6 / cr_rounds;
+  const double cr_ref_ns = bench::median(cr_ref) * 1e6 / cr_rounds;
   rows.push_back({"churn_pooled", churn_pooled_ns, "ns/op"});
   rows.push_back({"churn_reference", churn_ref_ns, "ns/op"});
   rows.push_back({"cancel_resched_pooled", cr_pooled_ns, "ns/op"});
@@ -142,7 +134,7 @@ int main(int argc, char** argv) {
                 cr_live, cr_pooled_ns, cr_ref_ns, cr_ref_ns / cr_pooled_ns);
   }
 
-  // ---- whole-run week events/sec (through the build's EventQueue) ------
+  // ---- whole-run week events/sec ---------------------------------------
   if (!skip_week) {
     const auto jobs = bench::week_workload();
     double best_ms = 0;
@@ -163,13 +155,8 @@ int main(int argc, char** argv) {
     rows.push_back({"whole_run_week_events_per_sec", events_per_sec,
                     "events/s"});
     if (!json) {
-      std::printf("whole-run week (SB 30-90, %s queue): %.0f ms, "
+      std::printf("whole-run week (SB 30-90): %.0f ms, "
                   "%llu events, %.0f events/sec\n",
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-                  "reference",
-#else
-                  "pooled",
-#endif
                   best_ms, static_cast<unsigned long long>(dispatched),
                   events_per_sec);
     }
@@ -222,13 +209,8 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{\n  \"context\": {\"queue\": \"%s\", \"hw_threads\": %u, "
-                "\"reps\": %d},\n  \"benchmarks\": [\n",
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-                "reference",
-#else
-                "pooled",
-#endif
+    std::printf("{\n  \"context\": {\"hw_threads\": %u, \"reps\": %d},\n"
+                "  \"benchmarks\": [\n",
                 std::thread::hardware_concurrency(), reps);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       std::printf("    {\"name\": \"%s\", \"value\": %.2f, \"unit\": \"%s\"}%s\n",

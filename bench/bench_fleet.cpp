@@ -49,13 +49,6 @@ constexpr double kUtilization = 0.95;  ///< prepopulated CPU load fraction
 constexpr double kVmCpuPct = 100;
 constexpr double kVmMemMb = 512;
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2]
-                                  : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
 double mean(const std::vector<double>& v) {
   double sum = 0;
   for (double x : v) sum += x;
@@ -205,9 +198,9 @@ int run_main(const support::CliArgs& args, bool json) {
       row.hosts = hosts;
       row.churn = churn;
       row.ref_mean_ms = mean(ref.round_ms);
-      row.ref_median_ms = median(ref.round_ms);
+      row.ref_median_ms = bench::median(ref.round_ms);
       row.inc_mean_ms = mean(inc.round_ms);
-      row.inc_median_ms = median(inc.round_ms);
+      row.inc_median_ms = bench::median(inc.round_ms);
       row.speedup = row.inc_median_ms > 0
                         ? row.ref_median_ms / row.inc_median_ms
                         : 0;

@@ -16,6 +16,7 @@
 #include "datacenter/xen_scheduler.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/setup.hpp"
+#include "reference_hill_climb.hpp"
 #include "sim/simulator.hpp"
 #include "workload/synthetic.hpp"
 

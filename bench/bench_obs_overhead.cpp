@@ -1,9 +1,8 @@
 // Observability overhead check: the instrumentation must be free when it
 // is not used.
 //
-// Three configurations of the same run are timed, interleaved within each
-// repeat so machine-wide drift (thermal throttling, background load)
-// biases every configuration equally:
+// Three configurations of the same run are timed (bench_common.hpp's
+// interleaved overhead harness):
 //   baseline   — no Observability bundle attached (recorder.obs == null)
 //   disabled   — bundle attached but nothing enabled (the runtime null
 //                sink: one pointer load + flag test per would-be event)
@@ -13,106 +12,43 @@
 // `--smoke` (the `bench_obs_overhead_smoke` ctest entry) exits non-zero
 // unless (a) the disabled run is behaviourally identical to the baseline —
 // same event count, bit-identical energy/migrations — and (b) the median
-// of the per-repeat paired deltas (disabled minus its adjacent baseline,
-// which cancels slow drift a min-vs-min comparison cannot) stays within
-// 2 % of the median baseline time plus a small absolute slack for timer
-// jitter on loaded CI machines.
-#include <algorithm>
-#include <chrono>
+// paired delta of the disabled run stays within 2 % of the median
+// baseline time plus a small absolute slack for timer jitter on loaded CI
+// machines.
 #include <cstdio>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
 #include "support/cli.hpp"
 
-namespace {
-
 using namespace easched;
-
-workload::Workload overhead_workload() {
-  workload::SyntheticConfig c;
-  c.seed = bench::kSeed;
-  c.span_seconds = 7.0 * sim::kDay;
-  c.mean_jobs_per_hour = 25;
-  return workload::generate(c);
-}
-
-experiments::RunConfig overhead_config(obs::Observability* bundle) {
-  experiments::RunConfig config;
-  config.datacenter.hosts = experiments::evaluation_hosts(8, 20, 12);
-  config.datacenter.seed = bench::kSeed;
-  config.policy = "SB";
-  config.horizon_s = 90 * sim::kDay;
-  config.obs = bundle;
-  return config;
-}
-
-struct Timed {
-  std::vector<double> ms;  ///< one wall-clock sample per repeat
-  experiments::RunResult result;
-};
-
-void time_once(Timed& out, const workload::Workload& jobs,
-               obs::Observability* bundle) {
-  const auto begin = std::chrono::steady_clock::now();
-  auto result = experiments::run_experiment(jobs, overhead_config(bundle));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  out.result = std::move(result);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2]
-                                  : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   support::CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const int repeats = static_cast<int>(args.get_int("repeats", 7));
+  const int repeats = bench::gate_repeats(args);
   args.warn_unrecognized();
 
-  const auto jobs = overhead_workload();
+  const auto jobs = bench::overhead_workload();
   std::printf("obs overhead: %zu jobs, median of %d interleaved runs each\n",
               jobs.size(), repeats);
 
-  {
-    // Untimed warm-up: the first run pays allocator/page-cache costs that
-    // would otherwise be billed to whichever configuration goes first.
-    Timed warmup;
-    time_once(warmup, jobs, nullptr);
-  }
-
-  Timed baseline, disabled, tracing;
   obs::Observability disabled_bundle;  // attached, nothing enabled
   obs::Observability tracing_bundle;
   tracing_bundle.tracer.enable();
   tracing_bundle.profiler.enable();
-  for (int i = 0; i < repeats; ++i) {
-    time_once(baseline, jobs, nullptr);
-    time_once(disabled, jobs, &disabled_bundle);
-    time_once(tracing, jobs, &tracing_bundle);
-  }
+  bench::Arm baseline{[] { return bench::overhead_config(); }};
+  bench::Arm disabled{[&] { return bench::overhead_config(&disabled_bundle); }};
+  bench::Arm tracing{[&] { return bench::overhead_config(&tracing_bundle); }};
+  bench::time_interleaved(jobs, repeats, {&baseline, &disabled, &tracing});
   // Each repeat appends to the same tracer; per-run count is the total
   // divided by the repeat count.
   const std::size_t events_per_run = tracing_bundle.tracer.size() /
                                      static_cast<std::size_t>(repeats);
 
-  // Paired deltas against the baseline run of the same repeat.
-  std::vector<double> disabled_delta, tracing_delta;
-  for (int i = 0; i < repeats; ++i) {
-    disabled_delta.push_back(disabled.ms[i] - baseline.ms[i]);
-    tracing_delta.push_back(tracing.ms[i] - baseline.ms[i]);
-  }
-  const double base_ms = median(baseline.ms);
-  const double disabled_ms = median(disabled_delta);
-  const double tracing_ms = median(tracing_delta);
+  const double base_ms = bench::median(baseline.ms);
+  const double disabled_ms = bench::median_delta(disabled, baseline);
+  const double tracing_ms = bench::median_delta(tracing, baseline);
 
   std::printf("  baseline  %8.1f ms\n", base_ms);
   std::printf("  disabled  %+8.1f ms  (%+.2f%%)\n", disabled_ms,
@@ -122,26 +58,15 @@ int main(int argc, char** argv) {
 
   if (!smoke) return 0;
 
-  int bad = 0;
-  const auto require = [&bad](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("SMOKE FAIL: %s\n", what);
-      bad = 1;
-    }
-  };
-  require(disabled.result.events_dispatched ==
-                  baseline.result.events_dispatched &&
-              disabled.result.report.energy_kwh ==
-                  baseline.result.report.energy_kwh &&
-              disabled.result.report.migrations ==
-                  baseline.result.report.migrations,
-          "disabled-observability run is bit-identical to the baseline");
-  require(disabled_bundle.tracer.size() == 0,
-          "disabled tracer recorded no events");
-  require(events_per_run > 0, "enabled tracer recorded events");
-  // <= 2 % relative, with 5 ms of absolute slack against timer jitter.
-  require(disabled_ms <= base_ms * 0.02 + 5.0,
-          "disabled-observability overhead within 2% of baseline");
-  if (bad == 0) std::printf("SMOKE OK\n");
-  return bad;
+  bench::Smoke gate;
+  gate.require_identical(
+      disabled.result, baseline.result,
+      "disabled-observability run is bit-identical to the baseline");
+  gate.require(disabled_bundle.tracer.size() == 0,
+               "disabled tracer recorded no events");
+  gate.require(events_per_run > 0, "enabled tracer recorded events");
+  gate.require_overhead(disabled_ms, base_ms,
+                        "disabled-observability overhead within 2% of "
+                        "baseline");
+  return gate.verdict();
 }

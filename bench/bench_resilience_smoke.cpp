@@ -1,9 +1,8 @@
 // Resilience control-plane overhead check: the controller must be free
 // when it has nothing to do.
 //
-// Two configurations of the same run are timed, interleaved within each
-// repeat so machine-wide drift (thermal throttling, background load)
-// biases both equally:
+// Two configurations of the same run are timed (bench_common.hpp's
+// interleaved overhead harness):
 //   baseline — no ResilienceController attached (recorder.resilience ==
 //              null, every hook is one pointer test)
 //   idle     — controller attached and enabled, but with every mechanism
@@ -14,104 +13,41 @@
 // `--smoke` (the `bench_resilience_smoke` ctest entry) exits non-zero
 // unless (a) the idle run is behaviourally identical to the baseline —
 // same event count, bit-identical energy/migrations, nothing shed — and
-// (b) the median of the per-repeat paired deltas (idle minus its adjacent
-// baseline, which cancels slow drift a min-vs-min comparison cannot)
-// stays within 2 % of the median baseline time plus a small absolute
-// slack for timer jitter on loaded CI machines.
-#include <algorithm>
-#include <chrono>
+// (b) the median paired delta of the idle run stays within 2 % of the
+// median baseline time plus a small absolute slack for timer jitter on
+// loaded CI machines.
 #include <cstdio>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "resilience/resilience.hpp"
 #include "support/cli.hpp"
 
-namespace {
-
 using namespace easched;
-
-workload::Workload overhead_workload() {
-  workload::SyntheticConfig c;
-  c.seed = bench::kSeed;
-  c.span_seconds = 7.0 * sim::kDay;
-  c.mean_jobs_per_hour = 25;
-  return workload::generate(c);
-}
-
-experiments::RunConfig overhead_config(bool idle_controller) {
-  experiments::RunConfig config;
-  config.datacenter.hosts = experiments::evaluation_hosts(8, 20, 12);
-  config.datacenter.seed = bench::kSeed;
-  config.policy = "SB";
-  config.horizon_s = 90 * sim::kDay;
-  if (idle_controller) {
-    resilience::ResilienceConfig c;
-    c.enabled = true;
-    c.solver_budget_moves = 0;  // watchdog off: ladder pinned at kFull
-    c.max_pending = 0;          // admission control off
-    c.breaker_threshold = 0;    // breakers off
-    config.resilience = c;
-  }
-  return config;
-}
-
-struct Timed {
-  std::vector<double> ms;  ///< one wall-clock sample per repeat
-  experiments::RunResult result;
-};
-
-void time_once(Timed& out, const workload::Workload& jobs,
-               bool idle_controller) {
-  const auto begin = std::chrono::steady_clock::now();
-  auto result =
-      experiments::run_experiment(jobs, overhead_config(idle_controller));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  out.result = std::move(result);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2]
-                                  : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   support::CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const int repeats = static_cast<int>(args.get_int("repeats", 7));
+  const int repeats = bench::gate_repeats(args);
   args.warn_unrecognized();
 
-  const auto jobs = overhead_workload();
+  const auto jobs = bench::overhead_workload();
   std::printf(
       "resilience overhead: %zu jobs, median of %d interleaved runs each\n",
       jobs.size(), repeats);
 
-  {
-    // Untimed warm-up: the first run pays allocator/page-cache costs that
-    // would otherwise be billed to whichever configuration goes first.
-    Timed warmup;
-    time_once(warmup, jobs, false);
-  }
+  bench::Arm baseline{[] { return bench::overhead_config(); }};
+  bench::Arm idle{[] {
+    experiments::RunConfig config = bench::overhead_config();
+    config.resilience.enabled = true;
+    config.resilience.solver_budget_moves = 0;  // watchdog off: kFull only
+    config.resilience.max_pending = 0;          // admission control off
+    config.resilience.breaker_threshold = 0;    // breakers off
+    return config;
+  }};
+  bench::time_interleaved(jobs, repeats, {&baseline, &idle});
 
-  Timed baseline, idle;
-  for (int i = 0; i < repeats; ++i) {
-    time_once(baseline, jobs, false);
-    time_once(idle, jobs, true);
-  }
-
-  // Paired deltas against the baseline run of the same repeat.
-  std::vector<double> idle_delta;
-  for (int i = 0; i < repeats; ++i) {
-    idle_delta.push_back(idle.ms[i] - baseline.ms[i]);
-  }
-  const double base_ms = median(baseline.ms);
-  const double idle_ms = median(idle_delta);
+  const double base_ms = bench::median(baseline.ms);
+  const double idle_ms = bench::median_delta(idle, baseline);
 
   std::printf("  baseline  %8.1f ms\n", base_ms);
   std::printf("  idle      %+8.1f ms  (%+.2f%%)\n", idle_ms,
@@ -119,27 +55,17 @@ int main(int argc, char** argv) {
 
   if (!smoke) return 0;
 
-  int bad = 0;
-  const auto require = [&bad](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("SMOKE FAIL: %s\n", what);
-      bad = 1;
-    }
-  };
-  require(idle.result.events_dispatched == baseline.result.events_dispatched &&
-              idle.result.report.energy_kwh ==
-                  baseline.result.report.energy_kwh &&
-              idle.result.report.migrations ==
-                  baseline.result.report.migrations,
-          "idle-controller run is bit-identical to the baseline");
-  require(idle.result.jobs_shed == 0 && idle.result.report.jobs_deferred == 0,
-          "idle controller shed or deferred nothing");
-  require(idle.result.report.solver_breaches == 0 &&
-              idle.result.report.max_ladder_level == 0,
-          "idle controller never walked the ladder");
-  // <= 2 % relative, with 5 ms of absolute slack against timer jitter.
-  require(idle_ms <= base_ms * 0.02 + 5.0,
-          "idle-controller overhead within 2% of baseline");
-  if (bad == 0) std::printf("SMOKE OK\n");
-  return bad;
+  bench::Smoke gate;
+  gate.require_identical(idle.result, baseline.result,
+                         "idle-controller run is bit-identical to the "
+                         "baseline");
+  gate.require(idle.result.jobs_shed == 0 &&
+                   idle.result.report.jobs_deferred == 0,
+               "idle controller shed or deferred nothing");
+  gate.require(idle.result.report.solver_breaches == 0 &&
+                   idle.result.report.max_ladder_level == 0,
+               "idle controller never walked the ladder");
+  gate.require_overhead(idle_ms, base_ms,
+                        "idle-controller overhead within 2% of baseline");
+  return gate.verdict();
 }

@@ -1,7 +1,8 @@
 // Telemetry overhead + determinism check: the live telemetry plane must be
 // free when not enabled, and must not perturb the simulation when it is.
 //
-// Mirrors bench_attribution_smoke's interleaved-repeat methodology:
+// Three configurations of the same run are timed (bench_common.hpp's
+// interleaved overhead harness):
 //   baseline   — no Observability bundle (recorder.obs == null)
 //   disabled   — bundle attached, telemetry not enabled (what every run
 //                pays for the plane existing: one null check in the runner)
@@ -14,107 +15,48 @@
 // median paired delta stays within 2% of the baseline time (+ absolute
 // slack for timer jitter), and (c) the sampled run's simulation outcome is
 // bit-identical to the baseline — sampling observes, never steers.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "support/cli.hpp"
 
-namespace {
-
 using namespace easched;
-
-workload::Workload overhead_workload() {
-  workload::SyntheticConfig c;
-  c.seed = bench::kSeed;
-  c.span_seconds = 7.0 * sim::kDay;
-  c.mean_jobs_per_hour = 25;
-  return workload::generate(c);
-}
-
-experiments::RunConfig overhead_config(obs::Observability* bundle) {
-  experiments::RunConfig config;
-  config.datacenter.hosts = experiments::evaluation_hosts(8, 20, 12);
-  config.datacenter.seed = bench::kSeed;
-  config.policy = "SB";
-  config.horizon_s = 90 * sim::kDay;
-  config.obs = bundle;
-  return config;
-}
-
-struct Timed {
-  std::vector<double> ms;
-  experiments::RunResult result;
-};
-
-void time_once(Timed& out, const workload::Workload& jobs,
-               obs::Observability* bundle) {
-  const auto begin = std::chrono::steady_clock::now();
-  auto result = experiments::run_experiment(jobs, overhead_config(bundle));
-  const auto end = std::chrono::steady_clock::now();
-  out.ms.push_back(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  out.result = std::move(result);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2]
-                                  : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   support::CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const int repeats = static_cast<int>(args.get_int("repeats", 7));
+  const int repeats = bench::gate_repeats(args);
   args.warn_unrecognized();
 
-  const auto jobs = overhead_workload();
+  const auto jobs = bench::overhead_workload();
   std::printf(
       "telemetry overhead: %zu jobs, median of %d interleaved runs each\n",
       jobs.size(), repeats);
-#if !EASCHED_TELEMETRY_ENABLED
-  std::printf("  (EASCHED_TELEMETRY=OFF: sampled run takes no samples)\n");
-#endif
 
-  {
-    Timed warmup;  // untimed: pays first-touch allocator/page-cache costs
-    time_once(warmup, jobs, nullptr);
-  }
-
-  Timed baseline, disabled, sampled;
   obs::Observability disabled_bundle;  // attached, telemetry not enabled
-  std::uint64_t samples_taken = 0;
-  for (int i = 0; i < repeats; ++i) {
-    time_once(baseline, jobs, nullptr);
-    time_once(disabled, jobs, &disabled_bundle);
-    // The plane's seq counter and ring persist across runs, so the sampled
-    // configuration gets a fresh bundle each repeat.
-    obs::Observability sampled_bundle;
-    sampled_bundle.telemetry.enable();
-    sampled_bundle.telemetry.add_sink(std::make_unique<obs::MemorySink>());
-    sampled_bundle.telemetry.set_alert_rules(
+  // The plane's seq counter and ring persist across runs, so the sampled
+  // configuration gets a fresh bundle each repeat.
+  std::unique_ptr<obs::Observability> sampled_bundle;
+  bench::Arm baseline{[] { return bench::overhead_config(); }};
+  bench::Arm disabled{[&] { return bench::overhead_config(&disabled_bundle); }};
+  bench::Arm sampled{[&] {
+    sampled_bundle = std::make_unique<obs::Observability>();
+    sampled_bundle->telemetry.enable();
+    sampled_bundle->telemetry.add_sink(std::make_unique<obs::MemorySink>());
+    sampled_bundle->telemetry.set_alert_rules(
         obs::parse_alert_rules("queue_depth>50 for=600"));
-    time_once(sampled, jobs, &sampled_bundle);
-    samples_taken = sampled_bundle.telemetry.samples_taken();
-  }
+    return bench::overhead_config(sampled_bundle.get());
+  }};
+  bench::time_interleaved(jobs, repeats, {&baseline, &disabled, &sampled});
+  const std::uint64_t samples_taken =
+      sampled_bundle->telemetry.samples_taken();
 
-  std::vector<double> disabled_delta, sampled_delta;
-  for (int i = 0; i < repeats; ++i) {
-    disabled_delta.push_back(disabled.ms[i] - baseline.ms[i]);
-    sampled_delta.push_back(sampled.ms[i] - baseline.ms[i]);
-  }
-  const double base_ms = median(baseline.ms);
-  const double disabled_ms = median(disabled_delta);
-  const double sampled_ms = median(sampled_delta);
+  const double base_ms = bench::median(baseline.ms);
+  const double disabled_ms = bench::median_delta(disabled, baseline);
+  const double sampled_ms = bench::median_delta(sampled, baseline);
 
   std::printf("  baseline    %8.1f ms\n", base_ms);
   std::printf("  disabled    %+8.1f ms  (%+.2f%%)\n", disabled_ms,
@@ -125,37 +67,23 @@ int main(int argc, char** argv) {
 
   if (!smoke) return 0;
 
-  int bad = 0;
-  const auto require = [&bad](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("SMOKE FAIL: %s\n", what);
-      bad = 1;
-    }
-  };
-  require(disabled.result.events_dispatched ==
-                  baseline.result.events_dispatched &&
-              disabled.result.report.energy_kwh ==
-                  baseline.result.report.energy_kwh &&
-              disabled.result.report.migrations ==
-                  baseline.result.report.migrations,
-          "disabled-telemetry run is bit-identical to the baseline");
-  require(disabled_bundle.telemetry.samples_taken() == 0,
-          "disabled plane took no samples");
+  bench::Smoke gate;
+  gate.require_identical(disabled.result, baseline.result,
+                         "disabled-telemetry run is bit-identical to the "
+                         "baseline");
+  gate.require(disabled_bundle.telemetry.samples_taken() == 0,
+               "disabled plane took no samples");
   // The sampling periodic adds events to the queue but must never change
   // what the simulation computes.
-  require(sampled.result.report.energy_kwh ==
-                  baseline.result.report.energy_kwh &&
-              sampled.result.report.migrations ==
-                  baseline.result.report.migrations &&
-              sampled.result.report.satisfaction ==
-                  baseline.result.report.satisfaction,
-          "sampling does not perturb the simulation");
-#if EASCHED_TELEMETRY_ENABLED
-  require(samples_taken > 0, "enabled plane sampled the run");
-#endif
-  // <= 2 % relative, with 5 ms of absolute slack against timer jitter.
-  require(disabled_ms <= base_ms * 0.02 + 5.0,
-          "disabled-telemetry overhead within 2% of baseline");
-  if (bad == 0) std::printf("SMOKE OK\n");
-  return bad;
+  gate.require(sampled.result.report.energy_kwh ==
+                       baseline.result.report.energy_kwh &&
+                   sampled.result.report.migrations ==
+                       baseline.result.report.migrations &&
+                   sampled.result.report.satisfaction ==
+                       baseline.result.report.satisfaction,
+               "sampling does not perturb the simulation");
+  gate.require(samples_taken > 0, "enabled plane sampled the run");
+  gate.require_overhead(disabled_ms, base_ms,
+                        "disabled-telemetry overhead within 2% of baseline");
+  return gate.verdict();
 }

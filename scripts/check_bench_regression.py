@@ -13,11 +13,14 @@ Families (one per committed BENCH_*.json):
            generated without repetitions). Files whose context reports a
            debug google-benchmark library are skipped with a warning —
            timings through a debug harness are not comparable.
-  sim    — BENCH_sim.json (bench_event_queue --json, before/after): per
-           benchmark name, the "after" (pooled-queue) value.
+  sim    — BENCH_sim.json (bench_event_queue --json under an "after"
+           key): per benchmark name, the value. Older files also carry a
+           "before" half from a second build; it is ignored.
 
 Only names present in both files are compared, so a reduced fresh run
-(fewer sizes, fewer rounds) checks just the overlap. A fresh value is a
+(fewer sizes, fewer rounds) checks just the overlap. A family whose two
+files share no metric name is an error: an empty overlap means the schema
+drifted, and passing it would check nothing. A fresh value is a
 regression when it exceeds baseline * (1 + threshold); faster is never
 flagged. Exit status 1 names every regression; 0 otherwise.
 
@@ -130,7 +133,14 @@ def main():
             base = sim_metrics(base_doc)
             fresh = sim_metrics(fresh_doc)
 
-        for name in sorted(set(base) & set(fresh)):
+        common = sorted(set(base) & set(fresh))
+        if not common:
+            errors.append(
+                f"{family}: baseline and fresh {files[family]} share no "
+                f"metric (baseline {len(base)}, fresh {len(fresh)}); "
+                "schema drift?"
+            )
+        for name in common:
             compared += 1
             b, f = base[name], fresh[name]
             if b > 0 and f > b * (1.0 + args.threshold):

@@ -7,12 +7,11 @@
 #                       fleet scale (bench_fleet --json; both variants run
 #                       in the same binary and the action streams must
 #                       match, so the speedups compare identical decisions)
-#   BENCH_sim.json    — simulation-kernel before/after: bench_event_queue
-#                       run twice, once in a normal build (pooled event
-#                       queue) and once in a -DEASCHED_SIM_REFERENCE_QUEUE=ON
-#                       build (the pre-pool seed queue), so the whole-run
-#                       week numbers compare the two kernels on identical
-#                       source elsewhere.
+#   BENCH_sim.json    — simulation-kernel benchmarks (bench_event_queue
+#                       --json): pooled vs reference event queue on the
+#                       churn and cancel+reschedule patterns (both queues
+#                       in the same binary), whole-run week throughput and
+#                       sweep scaling.
 #
 #   tests/data/run_summary_baseline.json — attribution baseline artifact:
 #                       the quickstart run's energy/decision summary,
@@ -38,21 +37,11 @@ if [ "$fast" = "fast" ]; then
   week_flag="--skip-week"
 fi
 
-build() {
-  dir="$1"
-  shift
-  cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
-    -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=OFF "$@" \
-    >/dev/null
-  cmake --build "$dir" --target bench_event_queue bench_micro bench_fleet \
-    -j"$(nproc)" >/dev/null
-}
-
-echo "== building pooled (current) tree =="
-build "$repo/build-bench"
-
-echo "== building reference-queue tree =="
-build "$repo/build-bench-ref" -DEASCHED_SIM_REFERENCE_QUEUE=ON
+echo "== building bench tree =="
+cmake -S "$repo" -B "$repo/build-bench" -DCMAKE_BUILD_TYPE=Release \
+  -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "$repo/build-bench" \
+  --target bench_event_queue bench_micro bench_fleet -j"$(nproc)" >/dev/null
 
 echo "== BENCH_solver.json (bench_micro) =="
 "$repo/build-bench/bench/bench_micro" \
@@ -77,29 +66,19 @@ echo "== BENCH_fleet.json (bench_fleet) =="
 # action streams.
 "$repo/build-bench/bench/bench_fleet" --json > "$repo/BENCH_fleet.json"
 
-echo "== BENCH_sim.json (pooled run) =="
+echo "== BENCH_sim.json (bench_event_queue) =="
 # shellcheck disable=SC2086
 "$repo/build-bench/bench/bench_event_queue" --json $week_flag \
-  > "$repo/.bench_sim_after.json"
-
-echo "== BENCH_sim.json (reference-queue run) =="
-# The sweep section is identical in both builds; skip it in the baseline.
-# shellcheck disable=SC2086
-"$repo/build-bench-ref/bench/bench_event_queue" --json --skip-sweep \
-  $week_flag > "$repo/.bench_sim_before.json"
-
+  > "$repo/.bench_sim.json"
 {
   echo '{'
-  echo '  "comment": "simulation-kernel benchmarks; after = pooled event queue (this tree), before = -DEASCHED_SIM_REFERENCE_QUEUE=ON build of the same tree. Generated by scripts/refresh_bench.sh.",'
+  echo '  "comment": "simulation-kernel benchmarks; after = this tree, with pooled vs reference event queue measured in the same binary. Generated by scripts/refresh_bench.sh.",'
   echo '  "date": "'"$(date -u +%Y-%m-%dT%H:%M:%SZ)"'",'
   echo '  "after":'
-  sed 's/^/  /' "$repo/.bench_sim_after.json"
-  echo '  ,'
-  echo '  "before":'
-  sed 's/^/  /' "$repo/.bench_sim_before.json"
+  sed 's/^/  /' "$repo/.bench_sim.json"
   echo '}'
 } > "$repo/BENCH_sim.json"
-rm -f "$repo/.bench_sim_after.json" "$repo/.bench_sim_before.json"
+rm -f "$repo/.bench_sim.json"
 
 echo "== run_summary_baseline.json (attribution artifact) =="
 # Needs the example CLIs; a separate small build keeps the bench builds

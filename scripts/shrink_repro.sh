@@ -9,7 +9,7 @@
 #   out       — minimised bundle path (default: <bundle>.min)
 #   max-tests — replay budget for the shrinker (default 2000)
 #
-# Builds an up-to-date tree first (validation hooks ON) so the replayed
+# Builds an up-to-date tree first so the replayed
 # scenario runs the same code that recorded the bundle.
 set -eu
 
@@ -25,7 +25,7 @@ max_tests="${3:-2000}"
 
 build_dir="$repo/build-validate"
 cmake -S "$repo" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
-  -DEASCHED_VALIDATE=ON -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_BENCH=OFF \
+  -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_BENCH=OFF \
   >/dev/null
 cmake --build "$build_dir" --target shrink_tool -j"$(nproc)" >/dev/null
 

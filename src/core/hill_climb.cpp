@@ -4,13 +4,9 @@
 
 namespace easched::core {
 
-// The instantiations the library itself uses; keeps the templates honest
-// even in builds that only link the library. The reference solver is
-// instantiated too: the differential tests and the solver_scaling bench
-// diff the production solver against it on the real model.
+// The instantiation the library itself uses; keeps the template honest
+// even in builds that only link the library.
 template HillClimbStats hill_climb<ScoreModel>(ScoreModel&,
                                                const HillClimbLimits&);
-template HillClimbStats hill_climb_reference<ScoreModel>(
-    ScoreModel&, const HillClimbLimits&);
 
 }  // namespace easched::core

@@ -33,9 +33,8 @@
 //
 // Plumbing mirrors obs/ and validate/: the controller travels with the
 // run's metrics::Recorder as a nullable pointer (Recorder::resilience)
-// behind the compile-gated accessor below. With EASCHED_RESILIENCE=OFF
-// the accessor folds to constexpr nullptr and every call site is dead
-// code; the class itself is always built so tests can drive it directly.
+// behind the accessor below; with no controller attached every call site
+// is one pointer load and test.
 //
 // Determinism contract: every input the controller consumes — solver
 // move counts, queue depths, operation outcomes, sim-time stamps — is
@@ -52,10 +51,6 @@
 #include "metrics/accumulators.hpp"
 #include "resilience/health.hpp"
 #include "sim/time.hpp"
-
-#ifndef EASCHED_RESILIENCE_ENABLED
-#define EASCHED_RESILIENCE_ENABLED 1
-#endif
 
 namespace easched::resilience {
 
@@ -229,21 +224,10 @@ class ResilienceController {
   std::size_t not_healthy_ = 0;  ///< breakers currently not Healthy
 };
 
-#if EASCHED_RESILIENCE_ENABLED
-
 /// The run's resilience controller, or nullptr when none is attached.
 [[nodiscard]] inline ResilienceController* controller(
     const metrics::Recorder& rec) noexcept {
   return rec.resilience;
 }
-
-#else  // resilience compiled out: accessor folds to constant nullptr
-
-[[nodiscard]] constexpr ResilienceController* controller(
-    const metrics::Recorder&) noexcept {
-  return nullptr;
-}
-
-#endif  // EASCHED_RESILIENCE_ENABLED
 
 }  // namespace easched::resilience

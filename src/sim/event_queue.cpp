@@ -23,7 +23,7 @@ constexpr std::uint32_t id_gen(EventId id) noexcept {
 
 }  // namespace
 
-EventId PooledEventQueue::push_impl(SimTime t, SmallFn fn) {
+EventId EventQueue::push_impl(SimTime t, SmallFn fn) {
   EA_EXPECTS(static_cast<bool>(fn));
   std::uint32_t slot;
   if (free_head_ != kNpos) {
@@ -42,7 +42,7 @@ EventId PooledEventQueue::push_impl(SimTime t, SmallFn fn) {
   return make_id(slot, s.gen);
 }
 
-void PooledEventQueue::free_slot(std::uint32_t slot) noexcept {
+void EventQueue::free_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.fn.reset();
   ++s.gen;  // odd -> even: free; stale ids and heap entries now mismatch
@@ -50,7 +50,7 @@ void PooledEventQueue::free_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-void PooledEventQueue::cancel(EventId id) {
+void EventQueue::cancel(EventId id) {
   if (id == kNoEvent) return;
   const std::uint32_t slot = id_slot(id);
   if (slot >= slots_.size()) return;
@@ -65,7 +65,7 @@ void PooledEventQueue::cancel(EventId id) {
   }
 }
 
-void PooledEventQueue::sift_up(std::size_t i) {
+void EventQueue::sift_up(std::size_t i) {
   const HeapEntry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
@@ -76,7 +76,7 @@ void PooledEventQueue::sift_up(std::size_t i) {
   heap_[i] = e;
 }
 
-void PooledEventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
   const HeapEntry e = heap_[i];
   for (;;) {
@@ -94,13 +94,13 @@ void PooledEventQueue::sift_down(std::size_t i) {
   heap_[i] = e;
 }
 
-void PooledEventQueue::pop_root() {
+void EventQueue::pop_root() {
   heap_[0] = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
 }
 
-void PooledEventQueue::prune_top() {
+void EventQueue::prune_top() {
   // The single invariant checkpoint of the lazy-cancel design: every
   // parked entry is either live or counted in dead_in_heap_.
   EA_ASSERT(heap_.size() == live_ + dead_in_heap_);
@@ -110,7 +110,7 @@ void PooledEventQueue::prune_top() {
   }
 }
 
-void PooledEventQueue::compact() {
+void EventQueue::compact() {
   std::size_t kept = 0;
   for (const HeapEntry& e : heap_) {
     if (!stale(e)) heap_[kept++] = e;
@@ -122,14 +122,14 @@ void PooledEventQueue::compact() {
   }
 }
 
-SimTime PooledEventQueue::next_time() {
+SimTime EventQueue::next_time() {
   EA_EXPECTS(!empty());
   // A cancel may have hit the current heap top since the last pop.
   prune_top();
   return heap_[0].time;
 }
 
-PooledEventQueue::Fired PooledEventQueue::pop() {
+EventQueue::Fired EventQueue::pop() {
   EA_EXPECTS(!empty());
   prune_top();
   EA_ASSERT(!heap_.empty());

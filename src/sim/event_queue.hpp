@@ -1,6 +1,6 @@
 // Pending-event set of the discrete-event kernel.
 //
-// `PooledEventQueue` is a zero-allocation-on-the-hot-path event set:
+// `EventQueue` is a zero-allocation-on-the-hot-path event set:
 //
 //   * Entries live in a slab of fixed-size slots recycled through a free
 //     list; actions are stored in `SmallFn` small-buffer callables, so the
@@ -21,7 +21,8 @@
 //     cannot grow the heap unboundedly.
 //
 // Pop order is exactly (time, seq) — identical to `ReferenceEventQueue`
-// (the pre-pool seed implementation, kept as the executable spec);
+// (the pre-pool seed implementation, kept as the executable spec in
+// tests/reference_event_queue.hpp);
 // `tests/test_event_queue_differential.cpp` holds the two to the same pop
 // sequence under randomized push/cancel/reschedule scripts.
 #pragma once
@@ -32,10 +33,6 @@
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-#include "sim/reference_event_queue.hpp"
-#endif
-
 namespace easched::sim {
 
 /// Identifies a scheduled event for cancellation. Value 0 is reserved for
@@ -44,7 +41,7 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kNoEvent = 0;
 
-class PooledEventQueue {
+class EventQueue {
  public:
   /// Schedules `fn` at absolute time `t`. Accepts any void() callable;
   /// captures up to SmallFn::kInlineBytes are stored in the pool slot
@@ -137,13 +134,5 @@ class PooledEventQueue {
   std::size_t live_ = 0;          ///< live events (== in-use slots)
   std::size_t dead_in_heap_ = 0;  ///< cancelled entries still parked
 };
-
-#ifdef EASCHED_SIM_REFERENCE_QUEUE
-// Baseline-measurement builds: the simulator runs on the seed queue so
-// whole-run before/after numbers come from the same source tree.
-using EventQueue = ReferenceEventQueue;
-#else
-using EventQueue = PooledEventQueue;
-#endif
 
 }  // namespace easched::sim

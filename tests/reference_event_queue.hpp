@@ -1,4 +1,5 @@
-// The pre-pool event queue, kept as an executable specification.
+// The pre-pool event queue, kept in test code as an executable
+// specification.
 //
 // This is the seed implementation the pooled queue replaced: one
 // heap-allocated `Entry` per event carrying a `std::function` action, a
@@ -6,14 +7,10 @@
 // `unordered_map` id index. It is deliberately naive — its pop order
 // (time, then push sequence; cancelled entries skipped) *defines* the
 // kernel's ordering semantics, and `tests/test_event_queue_differential.cpp`
-// drives it and `PooledEventQueue` with identical scripts to prove the
-// pooled rewrite changes nothing observable.
-//
-// It also remains buildable as the simulator's queue
-// (`-DEASCHED_SIM_REFERENCE_QUEUE=ON`, see event_queue.hpp) so
-// `scripts/refresh_bench.sh` can regenerate the pre-PR whole-run baseline
-// in BENCH_sim.json, and `bench_event_queue --smoke` (ctest:
-// `bench_sim_smoke`) can fail if the pooled queue ever regresses below it.
+// drives it and `EventQueue` with identical scripts to prove the
+// pooled rewrite changes nothing observable. `bench_event_queue --smoke`
+// (ctest: `bench_sim_smoke`) fails if the pooled queue ever regresses below
+// it.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Differential lockdown of the pooled event queue against the reference
 // implementation (the pre-pool seed queue, kept as the executable spec in
-// sim/reference_event_queue.hpp).
+// tests/reference_event_queue.hpp).
 //
 // Both queues are driven with the same randomized push / cancel /
 // reschedule script — including cancels of already-fired events, double
@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/reference_event_queue.hpp"
 #include "support/rng.hpp"
 
 namespace easched::sim {
@@ -25,7 +25,7 @@ namespace {
 // appends its tag to the owning queue's log, so identical logs mean
 // identical pop order of identical events.
 struct Pair {
-  PooledEventQueue pooled;
+  EventQueue pooled;
   ReferenceEventQueue reference;
   std::vector<std::uint64_t> pooled_log;
   std::vector<std::uint64_t> reference_log;
@@ -116,7 +116,7 @@ TEST(EventQueueDifferential, CancelHeavyScriptTriggersCompaction) {
 }
 
 TEST(EventQueueDifferential, StaleHandleOfRecycledSlotIsRejected) {
-  PooledEventQueue q;
+  EventQueue q;
   int fired = 0;
   const EventId first = q.push(10, [&fired] { ++fired; });
   q.cancel(first);  // frees the slot
@@ -143,7 +143,7 @@ TEST(EventQueueDifferential, StaleHandleOfRecycledSlotIsRejected) {
 
 TEST(EventQueueDifferential, HandlesStayDistinctAcrossHeavyRecycling) {
   // One slot recycled many times must hand out a fresh id every time.
-  PooledEventQueue q;
+  EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 64; ++i) {
     const EventId id = q.push(i, [] {});

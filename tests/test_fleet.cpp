@@ -29,6 +29,7 @@
 #include "core/score_matrix.hpp"
 #include "core/solver_pool.hpp"
 #include "experiments/runner.hpp"
+#include "reference_hill_climb.hpp"
 #include "reference_model.hpp"
 #include "resilience/resilience.hpp"
 #include "test_random_instances.hpp"

@@ -82,13 +82,8 @@ TEST(Tracer, NullSinkByDefault) {
 
   bundle.tracer.enable();
   bundle.profiler.enable();
-#if EASCHED_TRACE_ENABLED
   EXPECT_EQ(obs::tracer(recorder), &bundle.tracer);
   EXPECT_EQ(obs::profiler(recorder), &bundle.profiler);
-#else
-  EXPECT_EQ(obs::tracer(recorder), nullptr);
-  EXPECT_EQ(obs::profiler(recorder), nullptr);
-#endif
 }
 
 TEST(Tracer, RunWithoutEnabledInstrumentsEmitsNothing) {
@@ -214,9 +209,6 @@ TEST(ChromeTrace, ValidatorRejectsMalformedDocuments) {
 // ---- end-to-end run traces -------------------------------------------------
 
 TEST(RunTrace, ByteIdenticalAcrossSolverThreadCounts) {
-#if !EASCHED_TRACE_ENABLED
-  GTEST_SKIP() << "instrumentation compiled out (EASCHED_TRACE=OFF)";
-#endif
   const auto serial = run_traced(1);
   const auto threaded = run_traced(4);
   ASSERT_GT(serial->obs.tracer.size(), 0u);
@@ -255,9 +247,6 @@ TEST(RunTrace, ChromeExportOfRealRunValidates) {
 }
 
 TEST(RunTrace, DecisionBreakdownsSumToTotal) {
-#if !EASCHED_TRACE_ENABLED
-  GTEST_SKIP() << "instrumentation compiled out (EASCHED_TRACE=OFF)";
-#endif
   const auto run = run_traced(1);
   std::size_t decisions = 0;
   for (const auto& e : run->obs.tracer.events()) {
@@ -286,9 +275,6 @@ TEST(RunTrace, DecisionBreakdownsSumToTotal) {
 }
 
 TEST(RunTrace, ProfilerCoversEveryRoundPhase) {
-#if !EASCHED_TRACE_ENABLED
-  GTEST_SKIP() << "instrumentation compiled out (EASCHED_TRACE=OFF)";
-#endif
   const auto run = run_traced(1);
   const auto rollups = run->obs.profiler.rollups();
   ASSERT_FALSE(rollups.empty());
@@ -403,8 +389,16 @@ TEST(MetricsRegistry, PublishGoldenKeySet) {
     families.insert(row.name.substr(0, row.name.find('{')));
   }
 
-  std::set<std::string> expected = {
-      "ckpt.recoveries", "ckpt.taken", "hosts.failures",
+  const std::set<std::string> expected = {
+      "ckpt.recoveries", "ckpt.taken",
+      "decisions.count", "decisions.delta_total", "decisions.dominant",
+      "decisions.mean_delta", "decisions.term_total",
+      "decisions.with_runner_up",
+      "energy.host.load_j", "energy.host.total_j", "energy.mgmt_j",
+      "energy.rung.j", "energy.state.boot_j", "energy.state.idle_j",
+      "energy.state.load_j", "energy.state.off_j", "energy.total_j",
+      "energy.vm_class.j",
+      "hosts.failures",
       "ops.creations", "ops.migrations",
       "power.turn_offs", "power.turn_ons",
       "resilience.breaker_closes", "resilience.breaker_deaths",
@@ -419,17 +413,6 @@ TEST(MetricsRegistry, PublishGoldenKeySet) {
       "sim.events_cancelled", "sim.events_dispatched",
       "sla.alarms", "vm.recreates",
   };
-#if EASCHED_TRACE_ENABLED
-  expected.insert({
-      "decisions.count", "decisions.delta_total", "decisions.dominant",
-      "decisions.mean_delta", "decisions.term_total",
-      "decisions.with_runner_up",
-      "energy.host.load_j", "energy.host.total_j", "energy.mgmt_j",
-      "energy.rung.j", "energy.state.boot_j", "energy.state.idle_j",
-      "energy.state.load_j", "energy.state.off_j", "energy.total_j",
-      "energy.vm_class.j",
-  });
-#endif
   EXPECT_EQ(families, expected);
 }
 

@@ -12,6 +12,7 @@
 #include "core/hill_climb.hpp"
 #include "core/score_matrix.hpp"
 #include "core/solver_pool.hpp"
+#include "reference_hill_climb.hpp"
 #include "reference_model.hpp"
 #include "test_random_instances.hpp"
 
