@@ -1,17 +1,22 @@
 // Shared plumbing of the paper-reproduction benches: the standard week
 // workload, a row formatter matching the paper's table columns, the
-// "paper said / we measured" footers that EXPERIMENTS.md quotes, and the
-// timing harness of the disabled-overhead gates.
+// "paper said / we measured" footers that EXPERIMENTS.md quotes, the
+// timing harness of the disabled-overhead gates, the micro-benchmark case
+// timer and the one writer of the committed BENCH_*.json files.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiments/runner.hpp"
@@ -155,16 +160,22 @@ struct Arm {
   experiments::RunResult result;   ///< the last repeat's result
 };
 
-/// The gates' `--repeats=N` (default 7). Exits with status 2 unless
-/// 1 <= N <= INT_MAX: every gate reads its arms' last repeat.
-inline int gate_repeats(const support::CliArgs& args) {
-  const std::int64_t n = args.get_int("repeats", 7);
-  if (n < 1 || n > INT_MAX) {
-    std::fprintf(stderr, "--repeats must be in [1, %d] (got %lld)\n",
+/// `n`, the value of option `--name`. Exits with status 2 unless
+/// lo <= n <= INT_MAX.
+inline int checked_int(std::int64_t n, const char* name, int lo) {
+  if (n < lo || n > INT_MAX) {
+    std::fprintf(stderr, "--%s must be in [%d, %d] (got %lld)\n", name, lo,
                  INT_MAX, static_cast<long long>(n));
     std::exit(2);
   }
   return static_cast<int>(n);
+}
+
+/// The gates' `--repeats=N` (default 21), at least 1: every gate reads its
+/// arms' last repeat. 21 paired deltas put the median's spread well inside
+/// the 2 % budget on a shared machine; 7 did not.
+inline int gate_repeats(const support::CliArgs& args) {
+  return checked_int(args.get_int("repeats", 21), "repeats", 1);
 }
 
 /// Runs every arm `repeats` times (>= 1, see gate_repeats), interleaved, after one untimed warm-up
@@ -234,5 +245,81 @@ class Smoke {
  private:
   int bad_ = 0;
 };
+
+// ---- micro-benchmark case timer -------------------------------------------
+
+/// Per-operation time of one case [ns].
+struct CaseTime {
+  double median_ns = 0;
+  double p99_ns = 0;  ///< nearest rank; below 100 repetitions, the slowest
+};
+
+/// Times `op` (a callable returning a number its work produces): one
+/// untimed warm-up call, then `reps` >= 1 repetitions of an inner batch of
+/// calls, each repetition giving one per-operation sample. The batch is
+/// sized from the warm-up call so that a repetition lasts about 1 ms,
+/// which lifts sub-microsecond cases far above the clock's resolution.
+/// Every result is stored to a volatile, so the compiler must compute it.
+template <typename Op>
+CaseTime time_case(int reps, Op&& op) {
+  using Clock = std::chrono::steady_clock;
+  const auto ns_since = [](Clock::time_point begin) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - begin)
+        .count();
+  };
+  [[maybe_unused]] volatile double sink = 0;
+  auto begin = Clock::now();
+  sink = op();
+  const int batch =
+      static_cast<int>(std::clamp(1e6 / ns_since(begin), 1.0, 1e6));
+  std::vector<double> per_op;
+  for (int r = 0; r < reps; ++r) {
+    begin = Clock::now();
+    for (int i = 0; i < batch; ++i) sink = op();
+    per_op.push_back(ns_since(begin) / batch);
+  }
+  std::sort(per_op.begin(), per_op.end());
+  const auto rank = static_cast<std::size_t>(std::ceil(0.99 * reps));
+  return {median(per_op), per_op[rank - 1]};
+}
+
+// ---- BENCH_*.json ----------------------------------------------------------
+
+/// One measurement of a committed baseline.
+struct Metric {
+  std::string name;
+  double value = 0;
+  std::string unit;  ///< "bool" entries are 1 (holds) or 0 (violated)
+};
+
+/// Writes `metrics` to stdout as the document every BENCH_*.json shares:
+/// a context block (UTC date, commit, build type, compiler, hardware
+/// threads) and a name/value/unit list. EASCHED_BENCH_COMMIT and
+/// EASCHED_BENCH_BUILD_TYPE come from bench/CMakeLists.txt; no string
+/// written here needs JSON escaping.
+inline void write_json(const std::vector<Metric>& metrics) {
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
+  std::printf("{\n  \"context\": {\"date\": \"%s\", \"commit\": \"%s\", "
+              "\"build_type\": \"%s\", \"compiler\": \"%s\", "
+              "\"hw_threads\": %u},\n  \"benchmarks\": [\n",
+              date, EASCHED_BENCH_COMMIT, EASCHED_BENCH_BUILD_TYPE,
+              __VERSION__, std::thread::hardware_concurrency());
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    std::printf("    {\"name\": \"%s\", \"value\": %.6g, "
+                "\"unit\": \"%s\"}%s\n",
+                metrics[i].name.c_str(), metrics[i].value,
+                metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
+  }
+  std::printf("  ]\n}\n");
+}
+
+/// Prints `metrics` as a name / value / unit table.
+inline void print_table(const std::vector<Metric>& metrics) {
+  for (const Metric& m : metrics) {
+    std::printf("%-44s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());
+  }
+}
 
 }  // namespace easched::bench

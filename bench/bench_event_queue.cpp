@@ -17,12 +17,11 @@
 // `--smoke` (the `bench_sim_smoke` ctest entry) runs reduced-size
 // microbenches only and exits non-zero if the pooled queue is slower than
 // the reference on either pattern (small multiplicative slack for timer
-// jitter). `--json` emits the measurements as JSON for
-// scripts/refresh_bench.sh to assemble into BENCH_sim.json.
+// jitter). `--json` prints the document committed as BENCH_sim.json
+// (scripts/refresh_bench.sh).
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,12 +78,6 @@ double cancel_resched_once(int live, int rounds, int& sink) {
   return ms;
 }
 
-struct Row {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,7 +89,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 3 : 5));
   args.warn_unrecognized();
 
-  std::vector<Row> rows;
+  std::vector<bench::Metric> rows;
   int sink = 0;
 
   // ---- churn + cancel_resched, pooled vs reference, interleaved --------
@@ -119,20 +112,10 @@ int main(int argc, char** argv) {
       bench::median(churn_ref) * 1e6 / (2.0 * churn_n);
   const double cr_pooled_ns = bench::median(cr_pooled) * 1e6 / cr_rounds;
   const double cr_ref_ns = bench::median(cr_ref) * 1e6 / cr_rounds;
-  rows.push_back({"churn_pooled", churn_pooled_ns, "ns/op"});
-  rows.push_back({"churn_reference", churn_ref_ns, "ns/op"});
-  rows.push_back({"cancel_resched_pooled", cr_pooled_ns, "ns/op"});
-  rows.push_back({"cancel_resched_reference", cr_ref_ns, "ns/op"});
-
-  if (!json) {
-    std::printf("churn (push+pop, n=%d):    pooled %7.1f ns/op,  "
-                "reference %7.1f ns/op  (%.2fx)\n",
-                churn_n, churn_pooled_ns, churn_ref_ns,
-                churn_ref_ns / churn_pooled_ns);
-    std::printf("cancel+reschedule (live=%d): pooled %7.1f ns/op,  "
-                "reference %7.1f ns/op  (%.2fx)\n",
-                cr_live, cr_pooled_ns, cr_ref_ns, cr_ref_ns / cr_pooled_ns);
-  }
+  rows.push_back({"churn_pooled", churn_pooled_ns, "ns"});
+  rows.push_back({"churn_reference", churn_ref_ns, "ns"});
+  rows.push_back({"cancel_resched_pooled", cr_pooled_ns, "ns"});
+  rows.push_back({"cancel_resched_reference", cr_ref_ns, "ns"});
 
   // ---- whole-run week events/sec ---------------------------------------
   if (!skip_week) {
@@ -154,12 +137,6 @@ int main(int argc, char** argv) {
                     "events"});
     rows.push_back({"whole_run_week_events_per_sec", events_per_sec,
                     "events/s"});
-    if (!json) {
-      std::printf("whole-run week (SB 30-90): %.0f ms, "
-                  "%llu events, %.0f events/sec\n",
-                  best_ms, static_cast<unsigned long long>(dispatched),
-                  events_per_sec);
-    }
   }
 
   // ---- sweep harness scaling on a small grid ---------------------------
@@ -200,25 +177,9 @@ int main(int argc, char** argv) {
     rows.push_back({"sweep_grid8_threads1_ms", serial_ms, "ms"});
     rows.push_back({"sweep_grid8_threads4_ms", threaded_ms, "ms"});
     rows.push_back({"sweep_grid8_speedup", serial_ms / threaded_ms, "x"});
-    if (!json) {
-      std::printf("sweep (8-point grid): 1 thread %.0f ms, 4 threads "
-                  "%.0f ms (%.2fx, %u hw threads)\n",
-                  serial_ms, threaded_ms, serial_ms / threaded_ms,
-                  std::thread::hardware_concurrency());
-    }
   }
 
-  if (json) {
-    std::printf("{\n  \"context\": {\"hw_threads\": %u, \"reps\": %d},\n"
-                "  \"benchmarks\": [\n",
-                std::thread::hardware_concurrency(), reps);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::printf("    {\"name\": \"%s\", \"value\": %.2f, \"unit\": \"%s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value, rows[i].unit.c_str(),
-                  i + 1 < rows.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-  }
+  json ? bench::write_json(rows) : bench::print_table(rows);
 
   if (smoke) {
     // The pooled queue must not regress below the seed implementation on

@@ -20,9 +20,11 @@
 //
 // The two action streams are compared round for round and any divergence
 // is a hard failure: the speedup claim is only meaningful if the decisions
-// are identical. `--json` emits the rows committed as BENCH_fleet.json
-// (scripts/refresh_bench.sh).
+// are identical. `--json` prints the document committed as
+// BENCH_fleet.json (scripts/refresh_bench.sh): per (hosts, churn) the two
+// median round times, their ratio and the identity flag.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -48,12 +50,6 @@ constexpr double kRoundSeconds = 60;
 constexpr double kUtilization = 0.95;  ///< prepopulated CPU load fraction
 constexpr double kVmCpuPct = 100;
 constexpr double kVmMemMb = 512;
-
-double mean(const std::vector<double>& v) {
-  double sum = 0;
-  for (double x : v) sum += x;
-  return v.empty() ? 0 : sum / static_cast<double>(v.size());
-}
 
 workload::Job churn_job(support::Rng& rng, double submit, double mean_life) {
   workload::Job job;
@@ -151,33 +147,44 @@ bool same_actions(const VariantRun& a, const VariantRun& b) {
   return true;
 }
 
-struct Row {
-  std::size_t hosts = 0;
-  int churn = 0;
-  double ref_mean_ms = 0, ref_median_ms = 0;
-  double inc_mean_ms = 0, inc_median_ms = 0;
-  double speedup = 0;  ///< median reference / median incremental
-  bool identical = false;
-};
-
-int run_main(const support::CliArgs& args, bool json) {
+/// The fleet sizes of `--hosts=1000,4000,...`. Exits with status 2 unless
+/// the list holds at least one integer and each is at least 1.
+std::vector<std::size_t> parse_hosts(const std::string& spec) {
   std::vector<std::size_t> sizes;
-  {
-    // --hosts=1000,4000 limits the sweep (default 1000,4000,10000).
-    std::string spec = args.get("hosts", "1000,4000,10000");
-    std::replace(spec.begin(), spec.end(), ',', ' ');
-    std::size_t v = 0;
-    for (const char* p = spec.c_str(); std::sscanf(p, "%zu", &v) == 1;) {
-      sizes.push_back(v);
-      while (*p == ' ') ++p;
-      while (*p != '\0' && *p != ' ') ++p;
-      if (*p == '\0') break;
+  for (std::size_t begin = 0; begin <= spec.size();) {
+    const std::size_t end = std::min(spec.find(',', begin), spec.size());
+    std::int64_t n = 0;
+    const auto [last, ec] =
+        std::from_chars(spec.data() + begin, spec.data() + end, n);
+    if (ec != std::errc{} || last != spec.data() + end) {
+      std::fprintf(stderr,
+                   "--hosts must be a comma-separated list of integers "
+                   "(got '%s')\n",
+                   spec.c_str());
+      std::exit(2);
     }
+    sizes.push_back(
+        static_cast<std::size_t>(bench::checked_int(n, "hosts", 1)));
+    begin = end + 1;
   }
-  const int rounds = static_cast<int>(args.get_int("rounds", 30));
-  const int warmup = static_cast<int>(args.get_int("warmup", 10));
+  return sizes;
+}
 
-  std::vector<Row> rows;
+}  // namespace
+
+int main(int argc, char** argv) {
+  support::CliArgs args(argc, argv);
+  const bool json = args.get_bool("json", false);
+  // --hosts=1000,4000 limits the sweep (default 1000,4000,10000).
+  const std::vector<std::size_t> sizes =
+      parse_hosts(args.get("hosts", "1000,4000,10000"));
+  const int rounds =
+      bench::checked_int(args.get_int("rounds", 30), "rounds", 1);
+  const int warmup =
+      bench::checked_int(args.get_int("warmup", 10), "warmup", 0);
+  args.warn_unrecognized();
+
+  std::vector<bench::Metric> metrics;
   int bad = 0;
   for (const std::size_t hosts : sizes) {
     // Two churn levels: ~0.8 % and ~3 % of the fleet turning over per
@@ -185,28 +192,25 @@ int run_main(const support::CliArgs& args, bool json) {
     const int churns[] = {std::max(4, static_cast<int>(hosts / 128)),
                           std::max(16, static_cast<int>(hosts / 32))};
     for (const int churn : churns) {
-      if (!json) {
-        std::fprintf(stderr, "fleet %zu hosts, churn %d/round...\n", hosts,
-                     churn);
-      }
+      std::fprintf(stderr, "fleet %zu hosts, churn %d/round...\n", hosts,
+                   churn);
       const VariantRun ref =
           run_variant(hosts, churn, warmup, rounds, /*incremental=*/false);
       const VariantRun inc =
           run_variant(hosts, churn, warmup, rounds, /*incremental=*/true);
 
-      Row row;
-      row.hosts = hosts;
-      row.churn = churn;
-      row.ref_mean_ms = mean(ref.round_ms);
-      row.ref_median_ms = bench::median(ref.round_ms);
-      row.inc_mean_ms = mean(inc.round_ms);
-      row.inc_median_ms = bench::median(inc.round_ms);
-      row.speedup = row.inc_median_ms > 0
-                        ? row.ref_median_ms / row.inc_median_ms
-                        : 0;
-      row.identical = same_actions(ref, inc);
-      rows.push_back(row);
-      if (!row.identical) {
+      const double ref_ms = bench::median(ref.round_ms);
+      const double inc_ms = bench::median(inc.round_ms);
+      const bool identical = same_actions(ref, inc);
+      const std::string key = "hosts=" + std::to_string(hosts) +
+                              "/churn=" + std::to_string(churn) + "/";
+      metrics.push_back({key + "incremental_ms", inc_ms, "ms"});
+      metrics.push_back({key + "reference_ms", ref_ms, "ms"});
+      metrics.push_back({key + "speedup", inc_ms > 0 ? ref_ms / inc_ms : 0,
+                         "x"});
+      metrics.push_back({key + "identical_decisions", identical ? 1.0 : 0.0,
+                         "bool"});
+      if (!identical) {
         std::fprintf(stderr,
                      "FAIL: action streams diverged at %zu hosts, churn %d\n",
                      hosts, churn);
@@ -215,40 +219,6 @@ int run_main(const support::CliArgs& args, bool json) {
     }
   }
 
-  if (json) {
-    std::printf("{\n  \"benchmark\": \"fleet_round\",\n");
-    std::printf("  \"rounds\": %d, \"warmup\": %d,\n", rounds, warmup);
-    std::printf("  \"utilization\": %.2f,\n  \"rows\": [\n", kUtilization);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::printf(
-          "    {\"hosts\": %zu, \"churn\": %d, "
-          "\"reference_ms\": {\"mean\": %.4f, \"median\": %.4f}, "
-          "\"incremental_ms\": {\"mean\": %.4f, \"median\": %.4f}, "
-          "\"speedup\": %.2f, \"identical_decisions\": %s}%s\n",
-          r.hosts, r.churn, r.ref_mean_ms, r.ref_median_ms, r.inc_mean_ms,
-          r.inc_median_ms, r.speedup, r.identical ? "true" : "false",
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-  } else {
-    std::printf("%8s %8s %14s %14s %9s %10s\n", "hosts", "churn",
-                "ref med (ms)", "inc med (ms)", "speedup", "identical");
-    for (const Row& r : rows) {
-      std::printf("%8zu %8d %14.3f %14.3f %8.2fx %10s\n", r.hosts, r.churn,
-                  r.ref_median_ms, r.inc_median_ms, r.speedup,
-                  r.identical ? "yes" : "NO");
-    }
-  }
+  json ? bench::write_json(metrics) : bench::print_table(metrics);
   return bad;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  support::CliArgs args(argc, argv);
-  const bool json = args.get_bool("json", false);
-  const int rc = run_main(args, json);
-  args.warn_unrecognized();
-  return rc;
 }

@@ -1,13 +1,24 @@
-// Micro-benchmarks (google-benchmark): throughput of the pieces that bound
-// simulation speed — the event queue, the Xen allocation, score-matrix
-// construction, one hill-climbing round, and a whole simulated day.
+// Micro-benchmarks: time per operation of the pieces that bound simulation
+// speed — the Xen allocation, score-matrix construction, one hill-climbing
+// round, the solver at fleet scale, and a whole simulated day. The event
+// queue is timed by bench_event_queue.
 //
 // The paper's simulator "can simulate a large virtualized datacenter
 // executing a workload for a week using one machine during an hour"; these
 // numbers document that our event-driven kernel does the same week in
 // seconds.
-#include <benchmark/benchmark.h>
+//
+// Every case goes through bench::time_case (warm-up, `--reps=N`
+// repetitions) and prints its median and p99 per operation as it
+// finishes. The three solver_scaling variants must make the same number
+// of moves at every fleet size, or the binary exits 1. `--json` prints
+// nothing until the end: then the document committed as BENCH_solver.json
+// (scripts/refresh_bench.sh), or nothing if the move counts disagree.
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "bench_common.hpp"
 #include "core/fleet.hpp"
 #include "core/hill_climb.hpp"
 #include "core/score_based_policy.hpp"
@@ -18,40 +29,12 @@
 #include "experiments/setup.hpp"
 #include "reference_hill_climb.hpp"
 #include "sim/simulator.hpp"
+#include "support/cli.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
 
 using namespace easched;
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < n; ++i) {
-      q.push((i * 2654435761u) % 100000, [&fired] { ++fired; });
-    }
-    while (!q.empty()) q.pop().action();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
-
-void BM_XenAllocate(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<datacenter::CpuDemand> vms;
-  for (int i = 0; i < n; ++i) {
-    vms.push_back({50.0 + 37.0 * (i % 9), 256.0, 0.0});
-  }
-  for (auto _ : state) {
-    auto alloc = datacenter::allocate_cpu(400.0, vms, 80.0);
-    benchmark::DoNotOptimize(alloc.used_pct);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_XenAllocate)->Arg(4)->Arg(16)->Arg(64);
 
 /// A populated datacenter for matrix benchmarks.
 struct MatrixFixture {
@@ -85,39 +68,6 @@ struct MatrixFixture {
     }
   }
 };
-
-/// Score-matrix construction from scratch: a fresh (all-dirty) fleet
-/// snapshot, the model over it, and one read of every cell (the model
-/// evaluates cells lazily, so the read is the build).
-void BM_ScoreMatrixBuild(benchmark::State& state) {
-  MatrixFixture fx;
-  core::ScoreParams params;
-  for (auto _ : state) {
-    core::FleetState fleet;
-    fleet.refresh(fx.dc, fx.queue);
-    core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
-    double sum = 0;
-    for (int r = 0; r < model.virtual_row(); ++r) {
-      for (int c = 0; c < model.cols(); ++c) sum += model.cell(r, c);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_ScoreMatrixBuild);
-
-void BM_HillClimbRound(benchmark::State& state) {
-  MatrixFixture fx;
-  core::ScoreParams params;
-  for (auto _ : state) {
-    core::FleetState fleet;
-    fleet.refresh(fx.dc, fx.queue);
-    core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
-    core::HillClimbLimits limits;
-    auto stats = core::hill_climb(model, limits);
-    benchmark::DoNotOptimize(stats.moves);
-  }
-}
-BENCHMARK(BM_HillClimbRound);
 
 /// A populated datacenter at parametric scale for the solver_scaling
 /// benchmark: `hosts` nodes in the evaluation fleet's 15/50/35 mix, with
@@ -169,73 +119,121 @@ struct ScalingFixture {
   }
 };
 
-/// solver_scaling: one consolidation round (fresh all-dirty fleet
-/// snapshot + solve) at fleet sizes 100 / 400 / 1600, comparing the seed
-/// implementation (hill_climb_reference, full-matrix rescan per
-/// iteration), the incremental production solver, and the incremental
-/// solver over a 4-way SolverPool. All three produce bit-identical plans
-/// (tests/test_solver_equivalence.cpp); only the time differs.
-template <typename Solve>
-void solver_scaling_round(benchmark::State& state, const Solve& solve) {
-  ScalingFixture fx(static_cast<int>(state.range(0)));
-  core::ScoreParams params;
-  const auto round = [&] {
-    core::FleetState fleet;
-    fleet.refresh(fx.dc, fx.queue);
-    core::ScoreModel model(fleet, fx.dc, fx.queue, params,
-                           /*migration_enabled=*/true);
-    return solve(model).moves;
+}  // namespace
+
+int main(int argc, char** argv) {
+  support::CliArgs args(argc, argv);
+  const bool json = args.get_bool("json", false);
+  const int reps = bench::checked_int(args.get_int("reps", 10), "reps", 1);
+  args.warn_unrecognized();
+
+  // The JSON keeps each case's median only: with a few dozen repetitions
+  // the p99 is the slowest one, which measures the machine's other load
+  // (one preempted repetition moves it several-fold), not the code.
+  std::vector<bench::Metric> metrics;
+  const auto record = [&](const std::string& name, const bench::CaseTime& t,
+                          const std::string& unit) {
+    const double scale = unit == "ms" ? 1e-6 : 1.0;
+    metrics.push_back({name, t.median_ns * scale, unit});
+    if (!json) {
+      std::printf("%-32s median %12.4f  p99 %12.4f %s\n", name.c_str(),
+                  t.median_ns * scale, t.p99_ns * scale, unit.c_str());
+    }
   };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(round());
+
+  for (const int n : {4, 16, 64}) {
+    std::vector<datacenter::CpuDemand> vms;
+    for (int i = 0; i < n; ++i) {
+      vms.push_back({50.0 + 37.0 * (i % 9), 256.0, 0.0});
+    }
+    record("XenAllocate/" + std::to_string(n), bench::time_case(reps, [&] {
+             return datacenter::allocate_cpu(400.0, vms, 80.0).used_pct;
+           }), "ns");
   }
-  state.counters["moves"] = static_cast<double>(round());
-}
 
-void BM_SolverScaling_Serial(benchmark::State& state) {
-  solver_scaling_round(state, [](core::ScoreModel& model) {
-    return core::hill_climb_reference(model, core::HillClimbLimits{});
-  });
-}
-BENCHMARK(BM_SolverScaling_Serial)
-    ->Arg(100)->Arg(400)->Arg(1600)
-    ->Unit(benchmark::kMillisecond);
+  {
+    MatrixFixture fx;
+    const core::ScoreParams params;
+    // Construction from scratch: a fresh (all-dirty) fleet snapshot, the
+    // model over it, and one read of every cell (the model evaluates
+    // cells lazily, so the read is the build).
+    record("ScoreMatrixBuild", bench::time_case(reps, [&] {
+             core::FleetState fleet;
+             fleet.refresh(fx.dc, fx.queue);
+             core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
+             double sum = 0;
+             for (int r = 0; r < model.virtual_row(); ++r) {
+               for (int c = 0; c < model.cols(); ++c) sum += model.cell(r, c);
+             }
+             return sum;
+           }), "ms");
+    record("HillClimbRound", bench::time_case(reps, [&] {
+             core::FleetState fleet;
+             fleet.refresh(fx.dc, fx.queue);
+             core::ScoreModel model(fleet, fx.dc, fx.queue, params, true);
+             return core::hill_climb(model, core::HillClimbLimits{}).moves;
+           }), "ms");
+  }
 
-void BM_SolverScaling_Incremental(benchmark::State& state) {
-  solver_scaling_round(state, [](core::ScoreModel& model) {
-    return core::hill_climb(model, core::HillClimbLimits{});
-  });
-}
-BENCHMARK(BM_SolverScaling_Incremental)
-    ->Arg(100)->Arg(400)->Arg(1600)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SolverScaling_Threaded4(benchmark::State& state) {
+  // solver_scaling: one consolidation round (fresh all-dirty fleet
+  // snapshot + solve) at 100 / 400 / 1600 hosts, comparing the seed
+  // implementation (hill_climb_reference, full-matrix rescan per
+  // iteration), the incremental production solver, and the incremental
+  // solver over a 4-way SolverPool. All three produce bit-identical plans
+  // (tests/test_solver_equivalence.cpp); only the time may differ.
   core::SolverPool pool(4);
-  core::HillClimbLimits limits;
-  limits.pool = &pool;
-  solver_scaling_round(state, [&](core::ScoreModel& model) {
-    return core::hill_climb(model, limits);
-  });
-}
-BENCHMARK(BM_SolverScaling_Threaded4)
-    ->Arg(100)->Arg(400)->Arg(1600)
-    ->Unit(benchmark::kMillisecond);
+  core::HillClimbLimits threaded;
+  threaded.pool = &pool;
+  int bad = 0;
+  for (const int hosts : {100, 400, 1600}) {
+    ScalingFixture fx(hosts);
+    const core::ScoreParams params;
+    // Times one variant; returns the move count of its last round.
+    const auto solver_case = [&](const char* variant, auto solve) {
+      const std::string name = std::string("SolverScaling_") + variant +
+                               "/" + std::to_string(hosts);
+      int moves = 0;
+      record(name, bench::time_case(reps, [&] {
+               core::FleetState fleet;
+               fleet.refresh(fx.dc, fx.queue);
+               core::ScoreModel model(fleet, fx.dc, fx.queue, params,
+                                      /*migration_enabled=*/true);
+               return moves = solve(model).moves;
+             }), "ms");
+      metrics.push_back({name + "/moves", static_cast<double>(moves),
+                         "moves"});
+      if (!json) std::printf("%-32s moves %d\n", name.c_str(), moves);
+      return moves;
+    };
+    const int serial = solver_case("Serial", [](core::ScoreModel& m) {
+      return core::hill_climb_reference(m, core::HillClimbLimits{});
+    });
+    const int incremental = solver_case("Incremental", [](core::ScoreModel& m) {
+      return core::hill_climb(m, core::HillClimbLimits{});
+    });
+    const int threaded4 = solver_case("Threaded4", [&](core::ScoreModel& m) {
+      return core::hill_climb(m, threaded);
+    });
+    if (serial != incremental || serial != threaded4) {
+      std::fprintf(stderr,
+                   "FAIL: solver variants disagree at %d hosts: %d / %d / %d "
+                   "moves (serial / incremental / threaded4)\n",
+                   hosts, serial, incremental, threaded4);
+      bad = 1;
+    }
+  }
 
-void BM_SimulatedDay(benchmark::State& state) {
   workload::SyntheticConfig wl;
   wl.span_seconds = sim::kDay;
   const auto jobs = workload::generate(wl);
-  for (auto _ : state) {
-    experiments::RunConfig config;
-    config.datacenter = experiments::evaluation_datacenter(1);
-    config.policy = "SB";
-    auto res = experiments::run_experiment(jobs, std::move(config));
-    benchmark::DoNotOptimize(res.report.energy_kwh);
-  }
+  record("SimulatedDay", bench::time_case(reps, [&] {
+           experiments::RunConfig config;
+           config.datacenter = experiments::evaluation_datacenter(1);
+           config.policy = "SB";
+           return experiments::run_experiment(jobs, std::move(config))
+               .report.energy_kwh;
+         }), "ms");
+
+  if (bad == 0 && json) bench::write_json(metrics);
+  return bad;
 }
-BENCHMARK(BM_SimulatedDay)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

@@ -1,28 +1,25 @@
 #!/usr/bin/env python3
 """Compare freshly generated benchmark JSON against the committed baselines.
 
-Families (one per committed BENCH_*.json):
+Families, one per committed BENCH_*.json: fleet (bench_fleet --json),
+solver (bench_micro --json) and sim (bench_event_queue --json). All three
+share one document: a "context" block and a "benchmarks" list of
+{"name", "value", "unit"} entries.
 
-  fleet  — BENCH_fleet.json (bench_fleet --json): per (hosts, churn) row,
-           the incremental scheduling round's median ms. The fresh file
-           must also report identical_decisions on every row — a speedup
-           bought with different decisions is a bug, not a regression, and
-           fails regardless of threshold.
-  solver — BENCH_solver.json (google-benchmark): per-benchmark median
-           real_time (falls back to the plain entries when the file was
-           generated without repetitions). Files whose context reports a
-           debug google-benchmark library are skipped with a warning —
-           timings through a debug harness are not comparable.
-  sim    — BENCH_sim.json (bench_event_queue --json under an "after"
-           key): per benchmark name, the value. Older files also carry a
-           "before" half from a second build; it is ignored.
+Every file, baseline or fresh, must come from a Release build
+(context.build_type); timings from any other build are not comparable. In
+the fresh file an entry of unit "bool" must be 1: fleet's
+identical_decisions, for one, since a speedup bought with different
+decisions is a bug, not a regression, and fails whatever the threshold.
 
 Only names present in both files are compared, so a reduced fresh run
-(fewer sizes, fewer rounds) checks just the overlap. A family whose two
-files share no metric name is an error: an empty overlap means the schema
-drifted, and passing it would check nothing. A fresh value is a
-regression when it exceeds baseline * (1 + threshold); faster is never
-flagged. Exit status 1 names every regression; 0 otherwise.
+(fewer sizes, fewer rounds) checks just the overlap. Timings (units ns
+and ms) are gated: a fresh value is a regression when it exceeds baseline *
+(1 + threshold); faster is never flagged. Ratios, rates and counts are
+derived from those timings or are outputs of the program, and are not
+gated. A family whose two files share no timing is an error: an empty
+overlap means the schema drifted, and passing it would check nothing.
+Exit status 1 names every regression and error; 0 otherwise.
 
 stdlib only — runs anywhere the repo checks out.
 
@@ -36,6 +33,13 @@ import json
 import os
 import sys
 
+FILES = {
+    "fleet": "BENCH_fleet.json",
+    "solver": "BENCH_solver.json",
+    "sim": "BENCH_sim.json",
+}
+TIME_UNITS = {"ns", "ms"}
+
 
 def load(path):
     if not os.path.isfile(path):
@@ -44,46 +48,11 @@ def load(path):
         return json.load(f)
 
 
-def gbench_medians(doc):
-    """name -> median real_time from a google-benchmark JSON document."""
-    out = {}
-    plain = {}
-    for b in doc.get("benchmarks", []):
-        name = b.get("run_name", b.get("name"))
-        if b.get("aggregate_name") == "median":
-            out[name] = float(b["real_time"])
-        elif "aggregate_name" not in b:
-            plain[name] = float(b["real_time"])
-    return out or plain
-
-
-def solver_metrics(doc, label, warnings):
-    if doc.get("context", {}).get("library_build_type") == "debug":
-        warnings.append(
-            f"solver: {label} file was produced against a debug "
-            "google-benchmark library; family skipped"
-        )
-        return None
-    return gbench_medians(doc)
-
-
-def fleet_metrics(doc, label, errors):
-    out = {}
-    for row in doc.get("rows", []):
-        key = f"hosts={row['hosts']}/churn={row['churn']}"
-        out[key] = float(row["incremental_ms"]["median"])
-        if label == "fresh" and not row.get("identical_decisions", False):
-            errors.append(
-                f"fleet: {key}: incremental and reference variants made "
-                "different decisions (identical_decisions is false)"
-            )
-    return out
-
-
-def sim_metrics(doc):
+def read_metrics(doc):
+    """name -> (value, unit) of one BENCH_*.json document."""
     return {
-        b["name"]: float(b["value"])
-        for b in doc.get("after", {}).get("benchmarks", [])
+        b["name"]: (float(b["value"]), b["unit"])
+        for b in doc.get("benchmarks", [])
     }
 
 
@@ -102,54 +71,55 @@ def main():
                     help="comma-separated subset of fleet,solver,sim")
     args = ap.parse_args()
 
-    files = {
-        "fleet": "BENCH_fleet.json",
-        "solver": "BENCH_solver.json",
-        "sim": "BENCH_sim.json",
-    }
     regressions, errors, warnings = [], [], []
-    compared = 0
+    compared = {}
 
     for family in [f.strip() for f in args.families.split(",") if f.strip()]:
-        if family not in files:
+        if family not in FILES:
             errors.append(f"unknown family {family!r} "
-                          f"(expected one of {', '.join(files)})")
+                          f"(expected one of {', '.join(FILES)})")
             continue
-        base_doc = load(os.path.join(args.baseline_dir, files[family]))
-        fresh_doc = load(os.path.join(args.fresh_dir, files[family]))
-        if base_doc is None or fresh_doc is None:
-            which = "baseline" if base_doc is None else "fresh"
-            warnings.append(f"{family}: no {which} {files[family]}; skipped")
+        docs = {
+            "baseline": load(os.path.join(args.baseline_dir, FILES[family])),
+            "fresh": load(os.path.join(args.fresh_dir, FILES[family])),
+        }
+        missing = [label for label, doc in docs.items() if doc is None]
+        if missing:
+            warnings.append(f"{family}: no {missing[0]} {FILES[family]}; "
+                            "skipped")
             continue
-        if family == "solver":
-            base = solver_metrics(base_doc, "baseline", warnings)
-            fresh = solver_metrics(fresh_doc, "fresh", warnings)
-            if base is None or fresh is None:
-                continue
-        elif family == "fleet":
-            base = fleet_metrics(base_doc, "baseline", errors)
-            fresh = fleet_metrics(fresh_doc, "fresh", errors)
-        else:
-            base = sim_metrics(base_doc)
-            fresh = sim_metrics(fresh_doc)
+        for label, doc in docs.items():
+            build_type = doc.get("context", {}).get("build_type")
+            if build_type != "Release":
+                errors.append(f"{family}: {label} {FILES[family]} comes from "
+                              f"build type {build_type!r}, not 'Release'")
+        base = read_metrics(docs["baseline"])
+        fresh = read_metrics(docs["fresh"])
 
-        common = sorted(set(base) & set(fresh))
+        for name, (value, unit) in sorted(fresh.items()):
+            if unit == "bool" and value != 1:
+                errors.append(f"{family}: {name} is {value:g} in the fresh "
+                              "file; it must hold (1)")
+        common = [name for name in sorted(set(base) & set(fresh))
+                  if base[name][1] in TIME_UNITS]
+        compared[family] = len(common)
         if not common:
             errors.append(
-                f"{family}: baseline and fresh {files[family]} share no "
-                f"metric (baseline {len(base)}, fresh {len(fresh)}); "
-                "schema drift?"
+                f"{family}: baseline and fresh {FILES[family]} share no "
+                f"timing (baseline {len(base)}, fresh {len(fresh)} "
+                "metrics); schema drift?"
             )
         for name in common:
-            compared += 1
-            b, f = base[name], fresh[name]
+            (b, unit), (f, _) = base[name], fresh[name]
             if b > 0 and f > b * (1.0 + args.threshold):
                 regressions.append(
-                    f"{family}: {name}: {f:.3f} vs baseline {b:.3f} "
+                    f"{family}: {name}: {f:.3f} vs baseline {b:.3f} {unit} "
                     f"(+{(f / b - 1.0) * 100.0:.1f}%, "
                     f"allowed +{args.threshold * 100.0:.0f}%)"
                 )
 
+    counts = ", ".join(f"{family} {n}" for family, n in compared.items())
+    print(f"timings compared: {counts or 'none'}")
     for w in warnings:
         print(f"note: {w}")
     for e in errors:
@@ -160,7 +130,7 @@ def main():
             print(f"  {r}", file=sys.stderr)
     if errors or regressions:
         return 1
-    print(f"bench regression check OK ({compared} metrics compared)")
+    print("bench regression check OK")
     return 0
 
 

@@ -1,17 +1,22 @@
 #!/bin/sh
-# Regenerates the committed benchmark baselines in Release mode:
+# Regenerates the committed benchmark baselines in Release mode. Each is
+# the one BENCH_*.json document (bench::write_json: a context block with
+# date, commit, build type, compiler and hardware threads, then
+# name/value/unit entries):
 #
-#   BENCH_solver.json — google-benchmark output of bench_micro (solver +
-#                       simulator microbenchmarks)
-#   BENCH_fleet.json  — incremental-vs-reference scheduling-round times at
-#                       fleet scale (bench_fleet --json; both variants run
-#                       in the same binary and the action streams must
-#                       match, so the speedups compare identical decisions)
-#   BENCH_sim.json    — simulation-kernel benchmarks (bench_event_queue
-#                       --json): pooled vs reference event queue on the
-#                       churn and cancel+reschedule patterns (both queues
-#                       in the same binary), whole-run week throughput and
-#                       sweep scaling.
+#   BENCH_solver.json — bench_micro --json: solver and simulator
+#                       micro-benchmarks (median time per operation; the
+#                       three solver_scaling variants must agree on their
+#                       move counts)
+#   BENCH_fleet.json  — bench_fleet --json: incremental-vs-reference
+#                       scheduling-round times at fleet scale (both
+#                       variants run in the same binary and the action
+#                       streams must match, so the speedups compare
+#                       identical decisions)
+#   BENCH_sim.json    — bench_event_queue --json: pooled vs reference
+#                       event queue on the churn and cancel+reschedule
+#                       patterns (both queues in the same binary),
+#                       whole-run week throughput and sweep scaling
 #
 #   tests/data/run_summary_baseline.json — attribution baseline artifact:
 #                       the quickstart run's energy/decision summary,
@@ -22,63 +27,39 @@
 #                       5% threshold) so energy/decision drift is surfaced
 #                       here instead of silently baked into the baseline.
 #
-# Usage: scripts/refresh_bench.sh [fast]
-#   fast — skip the whole-run week sections (microbenches + sweep only);
-#          the committed file should be produced WITHOUT fast.
+# Usage: scripts/refresh_bench.sh
 #
 # Run on an otherwise idle machine; the JSON context blocks record the
-# hardware so numbers are interpretable later.
+# build and the hardware so numbers are interpretable later.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-fast="${1:-}"
-week_flag=""
-if [ "$fast" = "fast" ]; then
-  week_flag="--skip-week"
-fi
+out="$repo/build-bench"
 
 echo "== building bench tree =="
-cmake -S "$repo" -B "$repo/build-bench" -DCMAKE_BUILD_TYPE=Release \
+cmake -S "$repo" -B "$out" -DCMAKE_BUILD_TYPE=Release \
   -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "$repo/build-bench" \
+cmake --build "$out" \
   --target bench_event_queue bench_micro bench_fleet -j"$(nproc)" >/dev/null
 
-echo "== BENCH_solver.json (bench_micro) =="
-"$repo/build-bench/bench/bench_micro" \
-  --benchmark_out="$repo/BENCH_solver.json" --benchmark_out_format=json \
-  --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
+# Each file is written in the build tree and copied over the committed one
+# only if the binary succeeded and the file records a Release build:
+# timings from any other build are not comparable.
+refresh() {
+  file="$1"
+  bin="$2"
+  echo "== $file ($bin) =="
+  "$out/bench/$bin" --json > "$out/$file"
+  if ! grep -q '"build_type": "Release"' "$out/$file"; then
+    echo "ERROR: $out/$file does not record a Release build" >&2
+    exit 1
+  fi
+  cp "$out/$file" "$repo/$file"
+}
 
-# The bench binary is built Release above, but the google-benchmark
-# *library* it links carries its own build type into the JSON context — a
-# debug harness skews every timing loop, and a baseline measured through
-# it is worthless. Refuse to commit such numbers.
-if grep -q '"library_build_type": *"debug"' "$repo/BENCH_solver.json"; then
-  echo "ERROR: the linked google-benchmark library is a debug build" >&2
-  echo "       (BENCH_solver.json context reports library_build_type" >&2
-  echo "       \"debug\"); install/point CMake at a release build of" >&2
-  echo "       google-benchmark and re-run." >&2
-  exit 1
-fi
-
-echo "== BENCH_fleet.json (bench_fleet) =="
-# No google-benchmark dependency: the binary times its own rounds and
-# refuses to report a speedup unless both variants emitted identical
-# action streams.
-"$repo/build-bench/bench/bench_fleet" --json > "$repo/BENCH_fleet.json"
-
-echo "== BENCH_sim.json (bench_event_queue) =="
-# shellcheck disable=SC2086
-"$repo/build-bench/bench/bench_event_queue" --json $week_flag \
-  > "$repo/.bench_sim.json"
-{
-  echo '{'
-  echo '  "comment": "simulation-kernel benchmarks; after = this tree, with pooled vs reference event queue measured in the same binary. Generated by scripts/refresh_bench.sh.",'
-  echo '  "date": "'"$(date -u +%Y-%m-%dT%H:%M:%SZ)"'",'
-  echo '  "after":'
-  sed 's/^/  /' "$repo/.bench_sim.json"
-  echo '}'
-} > "$repo/BENCH_sim.json"
-rm -f "$repo/.bench_sim.json"
+refresh BENCH_solver.json bench_micro
+refresh BENCH_fleet.json bench_fleet
+refresh BENCH_sim.json bench_event_queue
 
 echo "== run_summary_baseline.json (attribution artifact) =="
 # Needs the example CLIs; a separate small build keeps the bench builds

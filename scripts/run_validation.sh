@@ -16,10 +16,11 @@
 #   fast — default build only (step 1); CI tier-1 runs this.
 #
 # Opt-in: EASCHED_BENCH_REGRESSION=1 appends a benchmark-regression step —
-# a Release build of bench_fleet generates a reduced BENCH_fleet.json and
-# scripts/check_bench_regression.py diffs it (plus any other fresh
-# BENCH_*.json found in the build dir) against the committed baselines.
-# Off by default: it is a wall-clock measurement and needs an idle machine.
+# a Release build of bench_fleet, bench_micro and bench_event_queue writes
+# reduced BENCH_fleet.json, BENCH_solver.json and BENCH_sim.json, and
+# scripts/check_bench_regression.py diffs all three against the committed
+# baselines. Off by default: it is a wall-clock measurement and needs an
+# idle machine.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -43,13 +44,17 @@ if [ "${EASCHED_BENCH_REGRESSION:-}" = "1" ]; then
   echo "== benchmark regression check (opt-in) =="
   cmake -S "$repo" -B "$repo/build-bench-check" -DCMAKE_BUILD_TYPE=Release \
     -DEASCHED_BUILD_TESTS=OFF -DEASCHED_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "$repo/build-bench-check" --target bench_fleet \
-    -j"$(nproc)" >/dev/null
-  # Reduced sweep: the checker compares only the (hosts, churn) rows that
-  # exist in both files, so fewer sizes/rounds still gate the overlap.
-  "$repo/build-bench-check/bench/bench_fleet" --json \
-    --hosts=1000,4000 --rounds=12 --warmup=4 \
+  cmake --build "$repo/build-bench-check" \
+    --target bench_fleet bench_micro bench_event_queue -j"$(nproc)" >/dev/null
+  # Reduced runs: the checker compares only the names that exist in both
+  # files, so fewer sizes, rounds and repetitions still gate the overlap.
+  bin="$repo/build-bench-check/bench"
+  "$bin/bench_fleet" --json --hosts=1000,4000 --rounds=12 --warmup=4 \
     > "$repo/build-bench-check/BENCH_fleet.json"
+  "$bin/bench_micro" --json --reps=3 \
+    > "$repo/build-bench-check/BENCH_solver.json"
+  "$bin/bench_event_queue" --json --skip-week \
+    > "$repo/build-bench-check/BENCH_sim.json"
   python3 "$repo/scripts/check_bench_regression.py" \
     --baseline-dir "$repo" --fresh-dir "$repo/build-bench-check"
 fi

@@ -12,8 +12,8 @@
 // blocked argmin incrementally, so an iteration costs
 // O(cols x (block + rows/block)) instead of the O(rows x cols) full scan
 // of the executable spec, hill_climb_reference() in
-// tests/reference_hill_climb.hpp — an ~8x round speedup at 1600 hosts
-// (bench_micro solver_scaling, BENCH_solver.json). With a SolverPool in the
+// tests/reference_hill_climb.hpp — ~15x faster at 1600 hosts (bench_micro
+// SolverScaling_{Serial,Incremental}/1600). With a SolverPool in the
 // limits, the initial sweep and per-iteration column updates run chunked
 // over the pool; per-column state is disjoint and the global reduction
 // happens on the calling thread in ascending column order, so serial and
