@@ -29,6 +29,7 @@
 #include "datacenter/datacenter.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 
 #ifndef EASCHED_GOLDEN_ENVELOPES
 #define EASCHED_GOLDEN_ENVELOPES "tests/data/golden_envelopes.json"
@@ -139,9 +140,7 @@ std::vector<Metric> measure() {
 }
 
 // ---- golden-envelope file ------------------------------------------------
-// {"metrics": [{"name": "...", "value": X, "abs_tol": Y}, ...]} — written
-// and parsed here; the parser only needs to understand what the writer
-// emits (one object per metric, numeric fields after their quoted key).
+// {"metrics": [{"name": "...", "value": X, "abs_tol": Y}, ...]}
 
 void write_envelopes(const std::string& path, const std::vector<Metric>& m) {
   std::ofstream out(path);
@@ -161,17 +160,14 @@ void write_envelopes(const std::string& path, const std::vector<Metric>& m) {
   out << "  ]\n}\n";
 }
 
-/// First numeric value after `"key":` inside [from, to), or fallback.
-double find_num(const std::string& s, std::size_t from, std::size_t to,
-                const char* key, double fallback) {
-  const std::string quoted = std::string("\"") + key + "\"";
-  const auto p = s.find(quoted, from);
-  if (p == std::string::npos || p >= to) return fallback;
-  const auto colon = s.find(':', p + quoted.size());
-  if (colon == std::string::npos || colon >= to) return fallback;
-  return std::strtod(s.c_str() + colon + 1, nullptr);
+[[noreturn]] void malformed(const std::string& path, const std::string& why) {
+  std::fprintf(stderr, "malformed golden envelope file %s: %s\n",
+               path.c_str(), why.c_str());
+  std::exit(1);
 }
 
+/// Every entry needs a string "name" and a number "value"; "abs_tol" and
+/// "rel_tol" are optional numbers (absent: -1, inactive).
 std::vector<Metric> read_envelopes(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -183,27 +179,33 @@ std::vector<Metric> read_envelopes(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  support::json::ParseError error;
+  const auto doc = support::json::parse(buffer.str(), &error);
+  if (!doc) malformed(path, error.to_string());
+  const support::json::Value* metrics = doc->find("metrics");
+  if (metrics == nullptr || !metrics->is_array()) {
+    malformed(path, "no \"metrics\" array");
+  }
 
   std::vector<Metric> out;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    const auto open = text.find('"', text.find(':', pos) + 1);
-    const auto close = text.find('"', open + 1);
-    auto end = text.find('}', pos);
-    if (open == std::string::npos || close == std::string::npos ||
-        end == std::string::npos) {
-      std::fprintf(stderr, "malformed golden envelope file %s\n",
-                   path.c_str());
-      std::exit(1);
+  for (const support::json::Value& entry : metrics->items) {
+    const support::json::Value* name = entry.find("name");
+    if (name == nullptr || !name->is_string()) {
+      malformed(path, "an entry has no string \"name\"");
     }
     Metric m;
-    m.name = text.substr(open + 1, close - open - 1);
-    m.value = find_num(text, close, end, "value", 0);
-    m.abs_tol = find_num(text, close, end, "abs_tol", -1);
-    m.rel_tol = find_num(text, close, end, "rel_tol", -1);
+    m.name = name->string;
+    for (const auto& [key, field] : {std::pair{"value", &m.value},
+                                     {"abs_tol", &m.abs_tol},
+                                     {"rel_tol", &m.rel_tol}}) {
+      const support::json::Value* v = entry.find(key);
+      if (v != nullptr && v->is_number()) {
+        *field = v->number;
+      } else if (v != nullptr || field == &m.value) {
+        malformed(path, m.name + ": \"" + key + "\" missing or not a number");
+      }
+    }
     out.push_back(std::move(m));
-    pos = end;
   }
   return out;
 }
@@ -222,6 +224,8 @@ int main(int argc, char** argv) {
       "Table I/II/IV/V headline metrics must stay inside the golden "
       "envelopes recorded on a known-good main");
 
+  // Read the golden file first: a malformed one fails before the runs.
+  const auto golden = record ? std::vector<Metric>{} : read_envelopes(path);
   const auto measured = measure();
   if (record) {
     write_envelopes(path, measured);
@@ -230,7 +234,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto golden = read_envelopes(path);
   support::TextTable table;
   table.header({"metric", "golden", "measured", "band", "status"});
   bool all = true;

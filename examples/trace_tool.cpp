@@ -16,10 +16,10 @@
 //
 // `diff` exits 0 when every metric matches within its threshold, 1 on any
 // delta / missing metric / schema mismatch — the regression verdict the
-// ctest gate and refresh_bench.sh rely on.
+// ctest gate and refresh_bench.sh rely on. `summarize` and `tail` exit 1
+// at the first line that is not valid JSON, naming the line and offset.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -28,22 +28,43 @@
 #include "obs/attribution/summary_diff.hpp"
 #include "obs/trace.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "workload/swf.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
 
-/// Extracts the string value of `"key":"..."` from one JSONL event line.
-/// The trace writer never emits escaped quotes in kind/label values, so a
-/// plain scan is exact for the fields we tally.
-std::string json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return {};
-  const auto begin = pos + needle.size();
-  const auto end = line.find('"', begin);
-  if (end == std::string::npos) return {};
-  return line.substr(begin, end - begin);
+namespace json = easched::support::json;
+
+/// Calls `fn(event, line)` for each non-empty line of a JSONL run trace
+/// until it returns false. Returns 0; 2 when the file cannot be opened; 1
+/// at the first line that is not valid JSON (reported as path:line:offset).
+template <typename Fn>
+int for_each_event(const std::string& path, Fn&& fn) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return 2;
+  }
+  std::string line;
+  for (unsigned long long line_no = 1; std::getline(in, line); ++line_no) {
+    if (line.empty()) continue;
+    json::ParseError error;
+    const auto event = json::parse(line, &error);
+    if (!event) {
+      std::fprintf(stderr, "%s:%llu: %s\n", path.c_str(), line_no,
+                   error.to_string().c_str());
+      return 1;
+    }
+    if (!fn(*event, line)) break;
+  }
+  return 0;
+}
+
+/// The string member `key` of an event, or "" when absent or not a string.
+std::string string_field(const json::Value& event, const char* key) {
+  const json::Value* v = event.find(key);
+  return v != nullptr && v->is_string() ? v->string : std::string();
 }
 
 /// Per-policy decision / migration / power-cycle tallies of one run trace.
@@ -58,29 +79,23 @@ struct PolicyTally {
 };
 
 int summarize_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
   // Tallies keyed by policy: a JSONL file may concatenate several runs,
   // each opened by a run_begin event labelled with its policy.
   std::map<std::string, PolicyTally> tallies;
   std::string policy = "(no run-begin)";
-  std::string line;
   std::uint64_t lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
+  const int status = for_each_event(path, [&](const json::Value& event,
+                                              const std::string&) {
     ++lines;
-    const std::string kind = json_field(line, "kind");
+    const std::string kind = string_field(event, "kind");
     if (kind == "run-begin") {
-      const std::string label = json_field(line, "label");
+      const std::string label = string_field(event, "label");
       policy = label.empty() ? "(unnamed)" : label;
     }
     PolicyTally& t = tallies[policy];
     ++t.events;
     if (kind == "decision") {
-      if (json_field(line, "label") == "migrate") {
+      if (string_field(event, "label") == "migrate") {
         ++t.migration_decisions;
       } else {
         ++t.placements;
@@ -94,7 +109,9 @@ int summarize_trace(const std::string& path) {
     } else if (kind == "power-off") {
       ++t.power_offs;
     }
-  }
+    return true;
+  });
+  if (status != 0) return status;
   std::printf("%s: %llu events\n", path.c_str(),
               static_cast<unsigned long long>(lines));
   std::printf("%-12s %10s %10s %10s %10s %10s %10s\n", "policy", "place",
@@ -111,15 +128,6 @@ int summarize_trace(const std::string& path) {
   return 0;
 }
 
-/// Extracts the integer value of `"key":N` from one JSONL event line
-/// (host ids are unquoted). Returns -1 when the key is absent.
-long long json_int_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::atoll(line.c_str() + pos + needle.size());
-}
-
 /// `tail` mode: stream a JSONL run trace, printing only the events whose
 /// kind starts with `kind_prefix` (empty = all) and whose host id equals
 /// `host` (-1 = all). A grep that understands the trace schema — `alert`
@@ -127,24 +135,18 @@ long long json_int_field(const std::string& line, const std::string& key) {
 /// machine's life story.
 int tail_trace(const std::string& path, const std::string& kind_prefix,
                long long host, std::uint64_t limit) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::string line;
   std::uint64_t matched = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (!kind_prefix.empty() &&
-        json_field(line, "kind").rfind(kind_prefix, 0) != 0) {
-      continue;
+  return for_each_event(path, [&](const json::Value& event,
+                                  const std::string& line) {
+    if (string_field(event, "kind").rfind(kind_prefix, 0) != 0) return true;
+    const json::Value* id = event.find("host");
+    if (host >= 0 && (id == nullptr || !id->is_number() ||
+                      id->number != static_cast<double>(host))) {
+      return true;
     }
-    if (host >= 0 && json_int_field(line, "host") != host) continue;
     std::printf("%s\n", line.c_str());
-    if (limit > 0 && ++matched >= limit) break;
-  }
-  return 0;
+    return limit == 0 || ++matched < limit;
+  });
 }
 
 int validate_trace(const std::string& path) {

@@ -90,7 +90,12 @@ int main(int argc, char** argv) {
   // state once.
   const bool animate = ansi && delay_ms > 0 && !follow;
   std::string line;
+  std::string pending;  // follow mode: the unterminated tail of the file
   while (std::getline(in, line)) {
+    if (follow && in.eof()) {
+      pending = line;
+      break;
+    }
     if (watcher.consume(line) && animate) {
       watcher.paint(std::cout);
       std::cout.flush();
@@ -112,19 +117,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Follow mode: the writer appends whole lines, so a failed getline means
-  // end-of-data for now — clear the stream state and poll again.
+  // Follow mode: getline returns whatever the writer has flushed, which
+  // may end inside a line. Only a newline-terminated line is parsed; an
+  // unterminated tail is kept until the rest of it arrives.
   if (watcher.parsed > 0) {
     watcher.paint(std::cout);
     std::cout.flush();
   }
   for (;;) {
     if (std::getline(in, line)) {
-      if (watcher.consume(line)) {
-        watcher.paint(std::cout);
-        std::cout.flush();
+      pending += line;
+      if (!in.eof()) {
+        if (watcher.consume(pending)) {
+          watcher.paint(std::cout);
+          std::cout.flush();
+        }
+        pending.clear();
+        continue;
       }
-      continue;
     }
     in.clear();
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));

@@ -5,25 +5,12 @@
 #include <ostream>
 
 #include "obs/obs.hpp"
+#include "support/json.hpp"
 
 namespace easched::obs {
 namespace {
 
-// Matches the metrics/trace exporters' shortest round-trippable formatting.
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
+namespace json = support::json;
 
 void write_key(std::ostream& os, const char* key, bool& first) {
   if (!first) os << ',';
@@ -33,7 +20,7 @@ void write_key(std::ostream& os, const char* key, bool& first) {
 
 void write_num(std::ostream& os, const char* key, double v, bool& first) {
   write_key(os, key, first);
-  write_double(os, v);
+  json::write_number(os, v);
 }
 
 void write_count(std::ostream& os, const char* key, std::uint64_t v,
@@ -87,9 +74,9 @@ void write_energy(std::ostream& os, const EnergyLedger& ledger) {
   for (const auto& [cls, joules] : ledger.vm_class_j()) {  // map: sorted
     if (!cf) os << ',';
     cf = false;
-    write_json_string(os, cls);
+    json::write_string(os, cls);
     os << ':';
-    write_double(os, joules);
+    json::write_number(os, joules);
   }
   os << '}';
 
@@ -99,7 +86,7 @@ void write_energy(std::ostream& os, const EnergyLedger& ledger) {
   for (std::size_t r = 0; r < rungs.size(); ++r) {
     if (r > 0) os << ',';
     os << '"' << rung_name(r) << "\":";
-    write_double(os, rungs[r]);
+    json::write_number(os, rungs[r]);
   }
   os << '}';
 
@@ -123,7 +110,7 @@ void write_decisions(std::ostream& os, const DecisionLog& log) {
   for (std::size_t i = 0; i < kDecisionTermCount; ++i) {
     if (i > 0) os << ',';
     os << '"' << decision_term_name(i) << "\":";
-    write_double(os, s.term_totals[i]);
+    json::write_number(os, s.term_totals[i]);
   }
   os << '}';
 
@@ -144,15 +131,15 @@ void write_metrics(std::ostream& os, const MetricsSnapshot& snap) {
   for (const SnapshotRow& row : snap.rows) {  // sorted by name
     if (!first) os << ',';
     first = false;
-    write_json_string(os, row.name);
+    json::write_string(os, row.name);
     os << ':';
     if (row.kind == InstrumentKind::kHistogram) {
       // Flatten histograms to the two diffable scalars.
       os << "{\"count\":" << row.count << ",\"sum\":";
-      write_double(os, row.sum);
+      json::write_number(os, row.sum);
       os << '}';
     } else {
-      write_double(os, row.value);
+      json::write_number(os, row.value);
     }
   }
   os << '}';
@@ -165,11 +152,11 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
   os << "{\"schema\":\"" << kRunSummarySchema << "\",";
 
   os << "\"policy\":{\"name\":";
-  write_json_string(os, report.policy);
+  json::write_string(os, report.policy);
   os << ",\"lambda_min\":";
-  write_double(os, report.lambda_min);
+  json::write_number(os, report.lambda_min);
   os << ",\"lambda_max\":";
-  write_double(os, report.lambda_max);
+  json::write_number(os, report.lambda_max);
   os << "},";
 
   {
@@ -204,11 +191,11 @@ void write_run_summary(std::ostream& os, const metrics::RunReport& report,
       const auto& f = report.alerts[i];
       if (i > 0) os << ',';
       os << "{\"rule\":";
-      write_json_string(os, f.rule);
+      json::write_string(os, f.rule);
       os << ",\"fired_t\":";
-      write_double(os, f.fired_t);
+      json::write_number(os, f.fired_t);
       os << ",\"resolved_t\":";
-      write_double(os, f.resolved_t);
+      json::write_number(os, f.resolved_t);
       os << '}';
     }
     os << "]},";

@@ -1,165 +1,33 @@
 #include "obs/attribution/summary_diff.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
+
+#include "support/json.hpp"
 
 namespace easched::obs {
 namespace {
 
-// Recursive-descent parser for the JSON subset the repo's writers emit:
-// objects, arrays, numbers, strings (\" and \\ escapes), true/false/null.
-// Leaves land in FlatSummary under their dotted path.
-class Flattener {
- public:
-  Flattener(const std::string& text, FlatSummary& out)
-      : text_(text), out_(out) {}
+namespace json = support::json;
 
-  bool run(std::string* error) {
-    skip_ws();
-    if (!parse_value("")) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "parse error at offset " << pos_ << ": " << error_;
-        *error = os.str();
-      }
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error != nullptr) *error = "trailing content after document";
-      return false;
-    }
-    return true;
+std::string join(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
+}
+
+/// Files every leaf of `v` under its dotted path; null leaves are dropped.
+void flatten(const json::Value& v, const std::string& path,
+             FlatSummary& out) {
+  if (v.is_number()) out.numbers[path] = v.number;
+  if (v.is_string()) out.strings[path] = v.string;
+  if (v.kind == json::Value::Kind::kBool) out.numbers[path] = v.boolean;
+  for (std::size_t i = 0; i < v.items.size(); ++i) {
+    flatten(v.items[i], join(path, std::to_string(i)), out);
   }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
+  for (const json::Member& m : v.members) {
+    flatten(m.value, join(path, m.key), out);
   }
-
-  bool fail(const char* msg) {
-    error_ = msg;
-    return false;
-  }
-
-  bool consume(char ch) {
-    if (pos_ >= text_.size() || text_[pos_] != ch) return false;
-    ++pos_;
-    return true;
-  }
-
-  static std::string join(const std::string& path, const std::string& key) {
-    return path.empty() ? key : path + "." + key;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      char ch = text_[pos_++];
-      if (ch == '"') return true;
-      if (ch == '\\') {
-        if (pos_ >= text_.size()) return fail("dangling escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return fail("unsupported escape");
-        }
-      } else {
-        out += ch;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_value(const std::string& path) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char ch = text_[pos_];
-    if (ch == '{') return parse_object(path);
-    if (ch == '[') return parse_array(path);
-    if (ch == '"') {
-      std::string s;
-      if (!parse_string(s)) return false;
-      out_.strings[path] = std::move(s);
-      return true;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out_.numbers[path] = 1;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out_.numbers[path] = 0;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;  // null leaves are dropped
-    }
-    return parse_number(path);
-  }
-
-  bool parse_number(const std::string& path) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return fail("expected value");
-    pos_ += static_cast<std::size_t>(end - start);
-    out_.numbers[path] = v;
-    return true;
-  }
-
-  bool parse_object(const std::string& path) {
-    consume('{');
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      if (!parse_value(join(path, key))) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(const std::string& path) {
-    consume('[');
-    skip_ws();
-    if (consume(']')) return true;
-    std::size_t index = 0;
-    while (true) {
-      if (!parse_value(join(path, std::to_string(index++)))) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return true;
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  const std::string& text_;
-  FlatSummary& out_;
-  std::size_t pos_ = 0;
-  const char* error_ = "";
-};
+}
 
 double threshold_for(const std::string& key, const DiffOptions& options) {
   double threshold = options.rel_threshold;
@@ -174,19 +42,20 @@ double threshold_for(const std::string& key, const DiffOptions& options) {
   return threshold;
 }
 
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
 }  // namespace
 
-bool flatten_json(const std::string& json, FlatSummary& out,
+bool flatten_json(const std::string& text, FlatSummary& out,
                   std::string* error) {
   out.numbers.clear();
   out.strings.clear();
-  return Flattener(json, out).run(error);
+  json::ParseError parse_error;
+  const auto doc = json::parse(text, &parse_error);
+  if (!doc) {
+    if (error != nullptr) *error = "parse error: " + parse_error.to_string();
+    return false;
+  }
+  flatten(*doc, "", out);
+  return true;
 }
 
 DiffResult diff_summaries(const FlatSummary& a, const FlatSummary& b,
@@ -242,17 +111,17 @@ std::string format_diff(const DiffResult& result, const std::string& name_a,
     if (e.missing_a) {
       os << "(missing)";
     } else {
-      write_double(os, e.a);
+      json::write_number(os, e.a);
     }
     os << " -> ";
     if (e.missing_b) {
       os << "(missing)";
     } else {
-      write_double(os, e.b);
+      json::write_number(os, e.b);
     }
     if (!e.missing_a && !e.missing_b) {
       os << " (rel ";
-      write_double(os, e.rel);
+      json::write_number(os, e.rel);
       os << ')';
     }
     os << '\n';

@@ -25,8 +25,10 @@ struct FlatSummary {
 };
 
 /// Parses `json` (a full JSON document) into its flat view. Returns false
-/// on malformed input, in which case `error` (if non-null) gets a message.
-/// The parser covers the JSON subset our writers emit (no \uXXXX escapes).
+/// on malformed input, in which case `error` (if non-null) gets a message
+/// with the byte offset. The grammar is strict RFC 8259 (support/json):
+/// NaN, Infinity, hex, leading '+' or zeros and raw control bytes in
+/// strings are errors; \uXXXX escapes decode to UTF-8.
 bool flatten_json(const std::string& json, FlatSummary& out,
                   std::string* error = nullptr);
 

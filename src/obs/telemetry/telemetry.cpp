@@ -1,62 +1,46 @@
 #include "obs/telemetry/telemetry.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "datacenter/datacenter.hpp"
 #include "obs/obs.hpp"
 #include "resilience/resilience.hpp"
 #include "sched/driver.hpp"
+#include "support/json.hpp"
 
 namespace easched::obs {
 
-namespace {
-
-/// Repo-wide deterministic double rendering (%.9g, like the trace and
-/// run_summary writers) — round-trips every value telemetry carries.
-void put_num(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
-}  // namespace
+namespace json = support::json;
 
 void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
   os << "{\"seq\":" << snap.seq << ",\"t\":";
-  put_num(os, snap.t);
+  json::write_number(os, snap.t);
   os << ",\"on\":" << snap.hosts_on << ",\"booting\":" << snap.hosts_booting
      << ",\"off\":" << snap.hosts_off << ",\"failed\":" << snap.hosts_failed
      << ",\"working\":" << snap.working << ",\"online\":" << snap.online
      << ",\"ratio\":";
-  put_num(os, snap.ratio);
+  json::write_number(os, snap.ratio);
   os << ",\"lmin\":";
-  put_num(os, snap.lambda_min);
+  json::write_number(os, snap.lambda_min);
   os << ",\"lmax\":";
-  put_num(os, snap.lambda_max);
+  json::write_number(os, snap.lambda_max);
   os << ",\"power_w\":";
-  put_num(os, snap.power_w);
+  json::write_number(os, snap.power_w);
   os << ",\"kwh\":";
-  put_num(os, snap.energy_kwh);
+  json::write_number(os, snap.energy_kwh);
   os << ",\"queue\":" << snap.queue << ",\"backoff\":" << snap.backoff
      << ",\"running\":" << snap.running << ",\"deferred\":" << snap.deferred
      << ",\"shed\":" << snap.shed << ",\"sla\":";
-  put_num(os, snap.sla);
+  json::write_number(os, snap.sla);
   os << ",\"rung\":" << snap.rung
      << ",\"breakers_open\":" << snap.breakers_open << ",\"alerts\":[";
   for (std::size_t i = 0; i < snap.active_alerts.size(); ++i) {
     if (i > 0) os << ',';
-    os << '"';
-    // Rule names come from the spec parser, which rejects quotes/backslashes,
-    // so plain escaping of the two JSON-hostile characters suffices.
-    for (char c : snap.active_alerts[i]) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    os << '"';
+    json::write_string(os, snap.active_alerts[i]);
   }
   os << "],\"hosts\":[";
   for (std::size_t i = 0; i < snap.hosts.size(); ++i) {
@@ -64,9 +48,9 @@ void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
     if (i > 0) os << ',';
     os << '[' << static_cast<int>(h.state) << ','
        << static_cast<int>(h.health) << ',';
-    put_num(os, h.util_pct);
+    json::write_number(os, h.util_pct);
     os << ',';
-    put_num(os, h.power_w);
+    json::write_number(os, h.power_w);
     os << ']';
   }
   os << "]}";
@@ -74,107 +58,87 @@ void write_snapshot_jsonl(std::ostream& os, const TelemetrySnapshot& snap) {
 
 namespace {
 
-/// Minimal field extraction for the writer's own fixed schema; not a
-/// general JSON parser.
-bool find_field(const std::string& line, const char* key, std::size_t* pos) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  *pos = at + needle.size();
+// Field readers for parse_snapshot_jsonl: each fails on a missing field or
+// a value of the wrong type or range.
+
+bool read_num(const json::Value* v, double* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  *out = v->number;
   return true;
 }
 
-bool read_num(const std::string& line, const char* key, double* out) {
-  std::size_t pos = 0;
-  if (!find_field(line, key, &pos)) return false;
-  *out = std::strtod(line.c_str() + pos, nullptr);
+/// Non-negative integers only. The range check comes before the cast:
+/// converting an out-of-range double is undefined behaviour.
+template <typename T>
+bool read_int(const json::Value* v, T* out) {
+  double d = 0;
+  if (!read_num(v, &d) || d < 0 || d != std::floor(d) ||
+      d >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    return false;
+  }
+  *out = static_cast<T>(d);
+  return true;
+}
+
+bool read_float(const json::Value* v, float* out) {
+  double d = 0;
+  if (!read_num(v, &d) || std::fabs(d) > std::numeric_limits<float>::max()) {
+    return false;
+  }
+  *out = static_cast<float>(d);
   return true;
 }
 
 }  // namespace
 
 bool parse_snapshot_jsonl(const std::string& line, TelemetrySnapshot* out) {
-  if (out == nullptr || line.empty() || line[0] != '{') return false;
+  if (out == nullptr) return false;
+  const auto doc = json::parse(line);
+  if (!doc || !doc->is_object()) return false;
+  const json::Value& o = *doc;
   TelemetrySnapshot snap;
-  double v = 0;
-  if (!read_num(line, "seq", &v)) return false;
-  snap.seq = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "t", &snap.t)) return false;
-  if (!read_num(line, "on", &v)) return false;
-  snap.hosts_on = static_cast<int>(v);
-  if (!read_num(line, "booting", &v)) return false;
-  snap.hosts_booting = static_cast<int>(v);
-  if (!read_num(line, "off", &v)) return false;
-  snap.hosts_off = static_cast<int>(v);
-  if (!read_num(line, "failed", &v)) return false;
-  snap.hosts_failed = static_cast<int>(v);
-  if (!read_num(line, "working", &v)) return false;
-  snap.working = static_cast<int>(v);
-  if (!read_num(line, "online", &v)) return false;
-  snap.online = static_cast<int>(v);
-  if (!read_num(line, "ratio", &snap.ratio)) return false;
-  if (!read_num(line, "lmin", &snap.lambda_min)) return false;
-  if (!read_num(line, "lmax", &snap.lambda_max)) return false;
-  if (!read_num(line, "power_w", &snap.power_w)) return false;
-  if (!read_num(line, "kwh", &snap.energy_kwh)) return false;
-  if (!read_num(line, "queue", &v)) return false;
-  snap.queue = static_cast<std::size_t>(v);
-  if (!read_num(line, "backoff", &v)) return false;
-  snap.backoff = static_cast<std::size_t>(v);
-  if (!read_num(line, "running", &v)) return false;
-  snap.running = static_cast<std::size_t>(v);
-  if (!read_num(line, "deferred", &v)) return false;
-  snap.deferred = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "shed", &v)) return false;
-  snap.shed = static_cast<std::uint64_t>(v);
-  if (!read_num(line, "sla", &snap.sla)) return false;
-  if (!read_num(line, "rung", &v)) return false;
-  snap.rung = static_cast<int>(v);
-  if (!read_num(line, "breakers_open", &v)) return false;
-  snap.breakers_open = static_cast<std::size_t>(v);
-
-  std::size_t pos = 0;
-  if (!find_field(line, "alerts", &pos) || line[pos] != '[') return false;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == '"') {
-      std::string name;
-      ++pos;
-      while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-        name += line[pos++];
-      }
-      snap.active_alerts.push_back(std::move(name));
-    }
-    ++pos;
+  const bool fields_ok =
+      read_int(o.find("seq"), &snap.seq) && read_num(o.find("t"), &snap.t) &&
+      read_int(o.find("on"), &snap.hosts_on) &&
+      read_int(o.find("booting"), &snap.hosts_booting) &&
+      read_int(o.find("off"), &snap.hosts_off) &&
+      read_int(o.find("failed"), &snap.hosts_failed) &&
+      read_int(o.find("working"), &snap.working) &&
+      read_int(o.find("online"), &snap.online) &&
+      read_num(o.find("ratio"), &snap.ratio) &&
+      read_num(o.find("lmin"), &snap.lambda_min) &&
+      read_num(o.find("lmax"), &snap.lambda_max) &&
+      read_num(o.find("power_w"), &snap.power_w) &&
+      read_num(o.find("kwh"), &snap.energy_kwh) &&
+      read_int(o.find("queue"), &snap.queue) &&
+      read_int(o.find("backoff"), &snap.backoff) &&
+      read_int(o.find("running"), &snap.running) &&
+      read_int(o.find("deferred"), &snap.deferred) &&
+      read_int(o.find("shed"), &snap.shed) &&
+      read_num(o.find("sla"), &snap.sla) &&
+      read_int(o.find("rung"), &snap.rung) &&
+      read_int(o.find("breakers_open"), &snap.breakers_open);
+  const json::Value* alerts = o.find("alerts");
+  const json::Value* hosts = o.find("hosts");
+  if (!fields_ok || alerts == nullptr || !alerts->is_array() ||
+      hosts == nullptr || !hosts->is_array()) {
+    return false;
   }
-
-  if (!find_field(line, "hosts", &pos) || line[pos] != '[') return false;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == '[') {
-      ++pos;
-      HostSample h;
-      char* end = nullptr;
-      const char* p = line.c_str() + pos;
-      h.state = static_cast<std::uint8_t>(std::strtod(p, &end));
-      p = end + 1;  // skip ','
-      h.health = static_cast<std::uint8_t>(std::strtod(p, &end));
-      p = end + 1;
-      h.util_pct = static_cast<float>(std::strtod(p, &end));
-      p = end + 1;
-      h.power_w = static_cast<float>(std::strtod(p, &end));
-      pos = static_cast<std::size_t>(end - line.c_str());
-      snap.hosts.push_back(h);
-      while (pos < line.size() && line[pos] != ']') ++pos;  // tuple close
-      ++pos;
-    } else {
-      ++pos;
-    }
+  for (const json::Value& name : alerts->items) {
+    if (!name.is_string()) return false;
+    snap.active_alerts.push_back(name.string);
   }
-
+  for (const json::Value& tuple : hosts->items) {
+    HostSample h;
+    if (!tuple.is_array() || tuple.items.size() != 4 ||
+        !read_int(&tuple.items[0], &h.state) ||
+        !read_int(&tuple.items[1], &h.health) ||
+        !read_float(&tuple.items[2], &h.util_pct) ||
+        !read_float(&tuple.items[3], &h.power_w)) {
+      return false;
+    }
+    snap.hosts.push_back(h);
+  }
   *out = std::move(snap);
   return true;
 }
@@ -192,7 +156,7 @@ void prom_value(std::ostream& os, const char* name, double v,
   os << name;
   if (!labels.empty()) os << '{' << labels << '}';
   os << ' ';
-  put_num(os, v);
+  json::write_number(os, v);
   os << '\n';
 }
 

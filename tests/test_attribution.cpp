@@ -353,6 +353,34 @@ TEST(SummaryDiff, CatchesPpwrAblationRegression) {
       << format_diff(result, "baseline", "no-pwr");
 }
 
+TEST(SummaryDiff, RejectsInputOutsideStrictJson) {
+  obs::FlatSummary flat;
+  std::string error;
+  for (const char* bad :
+       {R"({"schema":"s","a":nan})", R"({"a":0x10})", R"({"a":+1})",
+        R"({"a":007})", R"({"a":inf})", "{\"a\":\"tab\there\"}",
+        R"({"a":1} trailing)", R"({"a":1)"}) {
+    error.clear();
+    EXPECT_FALSE(obs::flatten_json(bad, flat, &error)) << bad;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << bad;
+  }
+  // A metric that went 5 -> nan is a parse error, never "unchanged".
+  obs::FlatSummary a;
+  ASSERT_TRUE(obs::flatten_json(R"({"schema":"s","a":5})", a));
+  EXPECT_FALSE(obs::flatten_json(R"({"schema":"s","a":nan})", flat));
+
+  // \u escapes decode, and escaped control bytes survive in strings.
+  ASSERT_TRUE(obs::flatten_json(
+      R"({"schema":"s\u00e9","rule":"a\tb","x":[true,null,2]})", flat,
+      &error))
+      << error;
+  EXPECT_EQ(flat.strings.at("schema"), "s\xc3\xa9");
+  EXPECT_EQ(flat.strings.at("rule"), "a\tb");
+  EXPECT_EQ(flat.numbers.at("x.0"), 1);
+  EXPECT_EQ(flat.numbers.count("x.1"), 0u);  // null leaves are dropped
+  EXPECT_EQ(flat.numbers.at("x.2"), 2);
+}
+
 TEST(SummaryDiff, FormatNamesTheRegressedMetrics) {
   obs::FlatSummary a, b;
   ASSERT_TRUE(obs::flatten_json(R"({"schema":"s","m":1})", a));

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exit-status tests of scripts/check_bench_regression.py.
 
-Writes a baseline and a fresh BENCH_fleet.json into a temporary
-directory per case and runs the checker on them.
+Writes a baseline and one or more fresh BENCH_fleet.json files into a
+temporary directory per case and runs the checker on them, one
+--fresh-dir per fresh file.
 
 Usage: test_check_bench_regression.py <path to check_bench_regression.py>
 """
@@ -31,16 +32,21 @@ BASELINE = {
 
 
 def run(fresh):
+    """fresh: one document, or a list of them (one fresh run each)."""
+    runs = fresh if isinstance(fresh, list) else [fresh]
     with tempfile.TemporaryDirectory() as tmp:
-        for sub, doc in (("base", BASELINE), ("fresh", fresh)):
+        dirs = [f"fresh{i}" for i in range(len(runs))]
+        for sub, doc in [("base", BASELINE)] + list(zip(dirs, runs)):
             os.mkdir(os.path.join(tmp, sub))
             with open(os.path.join(tmp, sub, "BENCH_fleet.json"), "w",
                       encoding="utf-8") as f:
                 json.dump(doc, f)
+        fresh_args = []
+        for sub in dirs:
+            fresh_args += ["--fresh-dir", os.path.join(tmp, sub)]
         return subprocess.run(
             [sys.executable, CHECKER, "--families", "fleet",
-             "--baseline-dir", os.path.join(tmp, "base"),
-             "--fresh-dir", os.path.join(tmp, "fresh"),
+             "--baseline-dir", os.path.join(tmp, "base"), *fresh_args,
              "--threshold", "0.25"],
             capture_output=True, text=True, check=False).returncode
 
@@ -72,6 +78,14 @@ def main():
         ("bool entry equal to 0", fresh_with(identical_decisions=0), 1),
         ("no metric name in common", renamed, 1),
         ("build type other than Release", debug, 1),
+        ("one of three runs over, the fastest within",
+         [fresh_with(incremental_ms=3.0), BASELINE,
+          fresh_with(incremental_ms=2.7)], 0),
+        ("every run above baseline x (1 + threshold)",
+         [fresh_with(incremental_ms=2.6), fresh_with(incremental_ms=3.0)], 1),
+        ("bool entry 0 in one of two runs",
+         [BASELINE, fresh_with(identical_decisions=0)], 1),
+        ("one of two runs from another build type", [BASELINE, debug], 1),
     ]
     failed = 0
     for what, fresh, want in cases:

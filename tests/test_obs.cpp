@@ -105,11 +105,12 @@ TEST(Tracer, RunWithoutEnabledInstrumentsEmitsNothing) {
 TEST(Tracer, SpanClampsNegativeDurationAndAssignsSequence) {
   obs::Tracer tracer;
   tracer.enable();
-  auto& a = tracer.emit(5, obs::EventKind::kPowerOn);
-  auto& b = tracer.span(10, 8, obs::EventKind::kHostOnline);
-  EXPECT_EQ(a.seq, 0u);
-  EXPECT_EQ(b.seq, 1u);
-  EXPECT_DOUBLE_EQ(b.dur, 0.0);
+  // emit() references die at the next emit(); read back through events().
+  tracer.emit(5, obs::EventKind::kPowerOn);
+  tracer.span(10, 8, obs::EventKind::kHostOnline);
+  EXPECT_EQ(tracer.events()[0].seq, 0u);
+  EXPECT_EQ(tracer.events()[1].seq, 1u);
+  EXPECT_DOUBLE_EQ(tracer.events()[1].dur, 0.0);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.emit(0, obs::EventKind::kRound).seq, 0u);
@@ -198,11 +199,35 @@ TEST(ChromeTrace, ValidatorRejectsMalformedDocuments) {
   EXPECT_FALSE(obs::validate_chrome_trace(R"({"traceEvents":[]} junk)",
                                           &error));
 
+  // Strict JSON: a raw tab inside a string and numbers outside the JSON
+  // grammar are parse errors with an offset.
+  EXPECT_FALSE(obs::validate_chrome_trace(
+      "{\"traceEvents\":[{\"name\":\"a\tb\",\"ph\":\"M\",\"pid\":0,"
+      "\"tid\":0}]}",
+      &error));
+  EXPECT_NE(error.find("at offset 26"), std::string::npos) << error;
+  for (const char* pid : {"0x10", "+1", "007", "inf", "nan"}) {
+    EXPECT_FALSE(obs::validate_chrome_trace(
+        std::string(R"({"traceEvents":[{"name":"m","ph":"M","pid":)") + pid +
+            R"(,"tid":0}]})",
+        &error))
+        << pid;
+  }
+
+  // An event that is not an object.
+  EXPECT_FALSE(obs::validate_chrome_trace(R"({"traceEvents":[1]})", &error));
+  EXPECT_NE(error.find("event 0"), std::string::npos);
+
   // Minimal valid documents pass.
   EXPECT_TRUE(obs::validate_chrome_trace(R"({"traceEvents":[]})", &error))
       << error;
   EXPECT_TRUE(obs::validate_chrome_trace(
       R"({"traceEvents":[{"name":"m","ph":"M","pid":0,"tid":0}]})", &error))
+      << error;
+  // \u escapes are JSON.
+  EXPECT_TRUE(obs::validate_chrome_trace(
+      R"({"traceEvents":[{"name":"\u00e9","ph":"M","pid":0,"tid":0}]})",
+      &error))
       << error;
 }
 

@@ -128,11 +128,56 @@ TEST(TelemetryJsonl, RoundTripsEveryField) {
   EXPECT_FLOAT_EQ(back.hosts[1].power_w, 230.0F);
 }
 
+TEST(TelemetryJsonl, RoundTripsAlertNamesWithControlCharacters) {
+  TelemetrySnapshot s = sample_snapshot();
+  s.active_alerts = {"breaker_open_rate>0.05\tfor=120", "q\"b\\\n"};
+  std::ostringstream os;
+  write_snapshot_jsonl(os, s);
+  EXPECT_EQ(os.str().find('\t'), std::string::npos);
+  TelemetrySnapshot back;
+  ASSERT_TRUE(parse_snapshot_jsonl(os.str(), &back));
+  EXPECT_EQ(back.active_alerts, s.active_alerts);
+}
+
 TEST(TelemetryJsonl, RejectsNonSnapshotLines) {
   TelemetrySnapshot out;
   EXPECT_FALSE(parse_snapshot_jsonl("", &out));
   EXPECT_FALSE(parse_snapshot_jsonl("{\"kind\":\"run-begin\"}", &out));
   EXPECT_FALSE(parse_snapshot_jsonl("not json at all", &out));
+
+  // A line the writer had not finished (watch_tool --follow reads whatever
+  // has been flushed) is rejected at every cut, never half-painted.
+  std::ostringstream os;
+  write_snapshot_jsonl(os, sample_snapshot());
+  const std::string line = os.str();
+  ASSERT_TRUE(parse_snapshot_jsonl(line, &out));
+  for (std::size_t n = 0; n < line.size(); ++n) {
+    EXPECT_FALSE(parse_snapshot_jsonl(line.substr(0, n), &out))
+        << "cut at " << n << ": " << line.substr(0, n);
+  }
+
+  // Wrong types and ranges: a host tuple of three, a negative or
+  // fractional count, a count past its type, a non-string alert name.
+  const auto replaced = [&line](const std::string& from,
+                                const std::string& to) {
+    std::string s = line;
+    const auto at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(parse_snapshot_jsonl(replaced("[1,1,0,230]", "[1,1,0]"), &out));
+  EXPECT_FALSE(parse_snapshot_jsonl(replaced("\"on\":3", "\"on\":-3"), &out));
+  EXPECT_FALSE(parse_snapshot_jsonl(replaced("\"on\":3", "\"on\":3.5"), &out));
+  EXPECT_FALSE(
+      parse_snapshot_jsonl(replaced("\"on\":3", "\"on\":1e300"), &out));
+  EXPECT_FALSE(
+      parse_snapshot_jsonl(replaced("[1,1,0,230]", "[256,1,0,230]"), &out));
+  EXPECT_FALSE(
+      parse_snapshot_jsonl(replaced("[1,1,0,230]", "[1,1,0,1e39]"), &out));
+  EXPECT_FALSE(
+      parse_snapshot_jsonl(replaced("\"high-power\"", "7"), &out));
+  EXPECT_FALSE(
+      parse_snapshot_jsonl(replaced("\"seq\":7", "\"seq\":\"7\""), &out));
 }
 
 // The Prometheus exposition is an external contract: scrape configs and
