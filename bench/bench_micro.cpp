@@ -1,7 +1,8 @@
 // Micro-benchmarks: time per operation of the pieces that bound simulation
 // speed — the Xen allocation, score-matrix construction, one hill-climbing
-// round, the solver at fleet scale, and a whole simulated day. The event
-// queue is timed by bench_event_queue.
+// round, the solver at fleet scale, alternating small and large models on
+// one fleet, and a whole simulated day. The event queue is timed by
+// bench_event_queue.
 //
 // The paper's simulator "can simulate a large virtualized datacenter
 // executing a workload for a week using one machine during an hour"; these
@@ -221,6 +222,37 @@ int main(int argc, char** argv) {
                    hosts, serial, incremental, threaded4);
       bad = 1;
     }
+  }
+
+  {
+    // Alternating model sizes on one persistent FleetState, as a run
+    // builds them: a queued-only model (the schedule() shape, every cell
+    // read), then one with every running VM as a column (the
+    // choose_power_off() shape, a row aggregate per 16th host). The
+    // recycled scratch shrinks and regrows each time, so any per-cell
+    // initialization of the large model shows here.
+    ScalingFixture fx(1600);
+    const core::ScoreParams params;
+    core::FleetState fleet;
+    fleet.refresh(fx.dc, fx.queue);
+    record("ScoreModelAlternate/1600", bench::time_case(reps, [&] {
+             double sum = 0;
+             {
+               core::ScoreModel queued(fleet, fx.dc, fx.queue, params,
+                                       /*migration_enabled=*/false);
+               for (int r = 0; r < queued.virtual_row(); ++r) {
+                 for (int c = 0; c < queued.cols(); ++c) {
+                   sum += queued.cell(r, c);
+                 }
+               }
+             }
+             core::ScoreModel all(fleet, fx.dc, fx.queue, params,
+                                  /*migration_enabled=*/true);
+             for (int r = 0; r < all.virtual_row(); r += 16) {
+               sum += all.row_aggregate(r);
+             }
+             return sum;
+           }), "ms");
   }
 
   workload::SyntheticConfig wl;

@@ -159,31 +159,19 @@ struct FleetColCache {
   std::vector<unsigned char> ok;
 };
 
-/// Plan-independent penalty terms of one (host, vm) cell, fixed at
-/// snapshot time (see ScoreModel: Preq compatibility with placeability
-/// folded in, Pvirt, Pconc, Pfault). Defined here so the fleet scratch
-/// below can own the backing array across rounds.
-struct CellStaticTerms {
-  double virt = 0;
-  double conc = 0;
-  double fault = 0;
-  bool compat = false;
-};
-
 /// Round-to-round reusable backing buffers for the ScoreModel.
-/// The per-round matrices are M x N — multiple MB at fleet scale — and a
-/// fresh allocate-and-zero every round costs a measurable slice of the
+/// The per-round score cache is M x N — multiple MB at fleet scale — and a
+/// fresh allocate-and-zero every model costs a measurable slice of the
 /// incremental round budget. The model takes these buffers in its
-/// constructor and returns them in its destructor; stale contents are
-/// never read because validity is tracked by the _ok bitmaps (re-zeroed
-/// each round) and the plan vectors are overwritten wholesale.
+/// constructor and returns them in its destructor; `cache` only ever
+/// grows, and its stale contents are never read because validity is
+/// tracked by `cache_ok` (re-zeroed per model, the only fleet-sized
+/// write), while the plan vectors are overwritten wholesale.
 struct ModelScratch {
   std::vector<double> cpu_res, mem_res, running;
   std::vector<int> vm_count;
   std::vector<double> free_cpu, free_mem, block_free_cpu, block_free_mem;
   std::vector<unsigned char> plan_touched;
-  std::vector<CellStaticTerms> static_terms;
-  std::vector<unsigned char> static_ok;
   std::vector<double> cache;
   std::vector<unsigned char> cache_ok;
 };

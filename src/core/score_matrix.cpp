@@ -100,18 +100,15 @@ ScoreModel::ScoreModel(FleetState& fleet, const datacenter::Datacenter& dc,
     }
   }
 
-  // The M x N arrays are the round's dominant allocation at fleet scale;
-  // recycle them too. resize() (not assign) for the data arrays: stale
-  // contents are unreadable behind the zeroed _ok bitmaps, so only the
-  // bitmaps pay a fleet-sized clear per round.
+  // The M x N cache is the round's dominant allocation at fleet scale;
+  // recycle it too, and grow it only past its previous size: stale
+  // contents are unreadable behind the zeroed cache_ok_ bitmap, so that
+  // bitmap is the only fleet-sized write per model (a shrink-then-regrow
+  // through resize() would value-initialize the regrown tail every time).
   const std::size_t cells =
       static_cast<std::size_t>(nrows_) * vms_.size();
-  static_terms_ = std::move(scratch.static_terms);
-  static_terms_.resize(cells);
-  static_ok_ = std::move(scratch.static_ok);
-  static_ok_.assign(cells, 0);  // built lazily; most cells prune away
   cache_ = std::move(scratch.cache);
-  cache_.resize(cells);
+  if (cells > cache_.size()) cache_.resize(cells);
   cache_ok_ = std::move(scratch.cache_ok);
   cache_ok_.assign(cells, 0);
 }
@@ -127,26 +124,19 @@ ScoreModel::~ScoreModel() {
   scratch.block_free_cpu = std::move(block_free_cpu_);
   scratch.block_free_mem = std::move(block_free_mem_);
   scratch.plan_touched = std::move(plan_touched_);
-  scratch.static_terms = std::move(static_terms_);
-  scratch.static_ok = std::move(static_ok_);
   scratch.cache = std::move(cache_);
   scratch.cache_ok = std::move(cache_ok_);
 }
 
-void ScoreModel::build_static_cell(int r, int c) const {
-  const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  StaticTerms& st = static_terms_[at(r, c)];
-  st.compat = placeable_[r] != 0 && arch_[r] == v.arch &&
-              (software_[r] & v.software) == v.software;
-  if (!st.compat) return;
-  const bool home = v.original == r;
-  if (params_.use_virt) {
-    const double pm = p_migration(cost_migrate_[r], v.remaining_user_s);
-    st.virt = p_virt(home, /*operation_on_vm=*/false, v.is_new,
-                     cost_create_[r], pm);
-  }
-  st.conc = p_conc(home, conc_[r]);
-  st.fault = p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
+bool ScoreModel::compatible(int r, const VmCol& v) const {
+  return placeable_[r] != 0 && arch_[r] == v.arch &&
+         (software_[r] & v.software) == v.software;
+}
+
+double ScoreModel::virt_term(int r, const VmCol& v) const {
+  const double pm = p_migration(cost_migrate_[r], v.remaining_user_s);
+  return p_virt(v.original == r, /*operation_on_vm=*/false, v.is_new,
+                cost_create_[r], pm);
 }
 
 int ScoreModel::rows() const { return nrows_ + 1; }
@@ -221,10 +211,7 @@ double ScoreModel::recompute_cell(int r, int c) const {
 bool ScoreModel::provably_inf(int r, int c) const {
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
   if (v.planned == r) return false;  // need is 0; the keep cell may be finite
-  if (placeable_[r] == 0) return true;      // compat folds placeability
-  if (arch_[r] != v.arch || (software_[r] & v.software) != v.software) {
-    return true;
-  }
+  if (!compatible(r, v)) return true;  // Preq folds placeability
   return v.cpu > free_cpu_[static_cast<std::size_t>(r)] ||
          v.mem > free_mem_[static_cast<std::size_t>(r)];
 }
@@ -254,8 +241,7 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   // accumulation order, so the left-to-right sum of the terms reproduces
   // cell(r, c) bit for bit.
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  const StaticTerms& st = ensure_static(r, c);
-  if (!st.compat) {
+  if (!compatible(r, v)) {
     b.req = kInfScore;
     b.total = kInfScore;
     return b;
@@ -275,11 +261,11 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
   }
   double s = b.res;
   if (params_.use_virt) {
-    b.virt = st.virt;
+    b.virt = virt_term(r, v);
     s += b.virt;
   }
   if (params_.use_conc) {
-    b.conc = st.conc;
+    b.conc = p_conc(home, conc_[r]);
     s += b.conc;
   }
   if (params_.use_pwr) {
@@ -305,7 +291,7 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
     s += b.sla;
   }
   if (params_.use_fault) {
-    b.fault = st.fault;
+    b.fault = p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
     s += b.fault;
   }
   b.total = std::min(s, kInfScore);
@@ -314,10 +300,9 @@ ScoreBreakdown ScoreModel::breakdown(int r, int c) const {
 
 double ScoreModel::score_cell(int r, int c) const {
   const VmCol& v = vms_[static_cast<std::size_t>(c)];
-  const StaticTerms& st = ensure_static(r, c);
 
-  // Preq — hardware and software requirements (plan-independent).
-  if (!st.compat) return kInfScore;
+  // Preq — hardware and software requirements, placeability folded in.
+  if (!compatible(r, v)) return kInfScore;
 
   const bool planned_here = v.planned == r;
   const bool home = v.original == r;
@@ -333,10 +318,10 @@ double ScoreModel::score_cell(int r, int c) const {
   if (is_inf_score(s)) return kInfScore;
 
   if (params_.use_virt) {
-    s += st.virt;
+    s += virt_term(r, v);
   }
   if (params_.use_conc) {
-    s += st.conc;
+    s += p_conc(home, conc_[r]);
   }
   if (params_.use_pwr) {
     const int count_wo_vm =
@@ -361,7 +346,7 @@ double ScoreModel::score_cell(int r, int c) const {
     s += p_sla(fulfilment, params_.th_sla, params_.c_sla);
   }
   if (params_.use_fault) {
-    s += st.fault;
+    s += p_fault(reliability_[r], v.fault_tolerance, params_.c_fail);
   }
   return std::min(s, kInfScore);
 }

@@ -11,28 +11,28 @@
 //
 // Incremental evaluation. Score(h, vm) splits into a plan-independent part
 // — Preq compatibility, Pvirt (charged from the original location), Pconc
-// (the snapshot's in-flight operations) and Pfault — computed once per
-// (host, vm) pair, and a plan-dependent part (Pres, Ppwr, PSLA) evaluated
-// against the current plan. Evaluated cells are cached.
+// (the snapshot's in-flight operations) and Pfault — and a plan-dependent
+// part (Pres, Ppwr, PSLA); each cell evaluates both inline against the
+// current plan, and evaluated cells are cached.
 //
 // Cache-invalidation contract: move(r, c) dirties exactly the rows the
 // column left and entered — those rows' occupation, VM count and running
 // demand changed for *every* column — and nothing else. The moved column's
-// cells on untouched rows are unchanged (its static terms are charged from
-// its original location, which never moves), and the virtual row is
-// constantly kInfScore. tests/test_score_cache.cpp holds this contract to
+// cells on untouched rows are unchanged (its plan-independent terms are
+// charged from its original location, which never moves), and the virtual
+// row is constantly kInfScore. tests/test_score_cache.cpp holds this contract to
 // zero-tolerance equality against fresh recomputation.
 //
 // Row layout: one row per host, row index == HostId, plus the virtual host
 // as the last row. The immutable per-host attributes alias the cross-round
 // FleetSnapshot (zero copies); only the four plan-tracked arrays are copied
-// per round, and the plan-independent terms are built lazily per cell.
-// Hosts that are not placeable keep a row whose cells are constantly
-// kInfScore (placeability is folded into the Preq compatibility bit), so
-// they never win an argmin and the placeable rows keep ascending HostId
-// order. The model also maintains plan-tracked free-capacity margins
-// (seeded from the HostBucketIndex) that let the solver skip provably
-// infeasible cells and whole kArgminBlock row blocks, and it carries
+// per round; cells are evaluated only when read. Hosts that are not
+// placeable keep a row whose cells are constantly kInfScore (placeability
+// is folded into the Preq compatibility predicate), so they never win an
+// argmin and the placeable rows keep ascending HostId order. The model
+// also maintains plan-tracked free-capacity margins (seeded from the
+// HostBucketIndex) that let the solver skip provably infeasible cells and
+// whole kArgminBlock row blocks, and it carries
 // queued VMs' evaluated score columns across rounds through FleetColCache
 // (only when their scores are round-time-independent, i.e. !use_sla; see
 // provably_inf()/skip_block()/cell() below). tests/reference_model.hpp
@@ -84,9 +84,9 @@ class ScoreModel {
   ScoreModel(const ScoreModel&) = delete;
   ScoreModel& operator=(const ScoreModel&) = delete;
 
-  /// Returns the big per-round buffers (cache, static terms, plan vectors,
-  /// margins) to the FleetState's ModelScratch so the next round reuses
-  /// their capacity instead of re-allocating.
+  /// Returns the big per-round buffers (cache, plan vectors, margins) to
+  /// the FleetState's ModelScratch so the next round reuses their capacity
+  /// instead of re-allocating.
   ~ScoreModel();
 
   [[nodiscard]] int rows() const;  ///< hosts + 1 (virtual host, last row)
@@ -205,28 +205,16 @@ class ScoreModel {
     /// the FleetState, node-stable for the model's lifetime.
     FleetColCache* persist = nullptr;
   };
-  /// Plan-independent penalty terms of one (host, vm) pair, fixed at
-  /// snapshot time: Preq compatibility (placeability folded in), Pvirt
-  /// (incl. the Pm migration term), Pconc and Pfault. The plan-dependent
-  /// remainder (Pres, Ppwr, PSLA) is evaluated by score_cell(). Shared
-  /// with fleet.hpp's ModelScratch so the backing array can be recycled
-  /// across rounds.
-  using StaticTerms = CellStaticTerms;
   [[nodiscard]] std::size_t at(int r, int c) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(vms_.size()) +
            static_cast<std::size_t>(c);
   }
   static void fill_column_common(VmCol& c, const datacenter::Vm& vm,
                                  bool is_new, sim::SimTime now);
-  void build_static_cell(int r, int c) const;
-  [[nodiscard]] const StaticTerms& ensure_static(int r, int c) const {
-    const std::size_t i = at(r, c);
-    if (!static_ok_[i]) {
-      build_static_cell(r, c);
-      static_ok_[i] = 1;
-    }
-    return static_terms_[i];
-  }
+  /// Preq compatibility of row `r` for `v`, placeability folded in.
+  [[nodiscard]] bool compatible(int r, const VmCol& v) const;
+  /// Pvirt of placing `v` on row `r` (incl. the Pm migration term).
+  [[nodiscard]] double virt_term(int r, const VmCol& v) const;
   [[nodiscard]] double score_cell(int r, int c) const;
   void invalidate_row(int r);
   void touch_row(int r);  ///< margins + plan_touched
@@ -262,14 +250,9 @@ class ScoreModel {
   std::vector<unsigned char> plan_touched_;
 
   std::vector<VmCol> vms_;
-  // Plan-independent terms, built lazily per cell (most cells of a pruned
-  // matrix are never read). `mutable`: ensure_static() memoizes from const
-  // queries. Race-free for the same reason the score cache is: threaded
-  // sweeps only touch disjoint column ranges.
-  mutable std::vector<StaticTerms> static_terms_;
-  mutable std::vector<unsigned char> static_ok_;
   // Per-cell score cache over the real rows. `mutable`: cell() is a const
-  // query that memoizes.
+  // query that memoizes. Race-free because threaded sweeps only touch
+  // disjoint column ranges.
   mutable std::vector<double> cache_;
   mutable std::vector<unsigned char> cache_ok_;
 };

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "support/csv.hpp"
 #include "support/json.hpp"
 
 namespace easched::obs {
@@ -15,21 +16,6 @@ namespace json = support::json;
 std::string full_name(const std::string& name, const std::string& label) {
   if (label.empty()) return name;
   return name + "{" + label + "}";
-}
-
-// RFC 4180 quoting: names/labels are free-form, so a comma or quote in a
-// label (e.g. `op={a,b}`) must not split or corrupt the CSV row.
-void write_csv_field(std::ostream& os, const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) {
-    os << field;
-    return;
-  }
-  os << '"';
-  for (char ch : field) {
-    if (ch == '"') os << '"';
-    os << ch;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -136,8 +122,10 @@ std::string MetricsSnapshot::to_csv() const {
   json::write_number(os, sim_time_s);
   os << "\nname,kind,value,count,sum,buckets\n";
   for (const SnapshotRow& row : rows) {
-    write_csv_field(os, row.name);
-    os << ',' << to_string(row.kind) << ',';
+    // Names/labels are free-form: a comma or quote in a label (e.g.
+    // `op={a,b}`) must not split or corrupt the CSV row.
+    os << support::CsvWriter::escape(row.name) << ',' << to_string(row.kind)
+       << ',';
     json::write_number(os, row.value);
     os << ',' << row.count << ',';
     json::write_number(os, row.sum);

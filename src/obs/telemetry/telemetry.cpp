@@ -227,7 +227,12 @@ void write_snapshot_prom(std::ostream& os, const TelemetrySnapshot& snap) {
               "gauge");
   for (const std::string& name : snap.active_alerts) {
     std::string label = "rule=\"";
+    // Prometheus text format: label values escape `\`, `"` and newline.
     for (char c : name) {
+      if (c == '\n') {
+        label += "\\n";
+        continue;
+      }
       if (c == '"' || c == '\\') label += '\\';
       label += c;
     }

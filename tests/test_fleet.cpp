@@ -184,6 +184,16 @@ TEST_P(FleetDifferential, MultiRoundCellsAndDecisionsMatchLegacy) {
       fleet.refresh(f.dc, queue);
       EXPECT_EQ(f.dc.fleet_dirty_count(), 0u);  // refresh drained it
 
+      // First a model of the other shape on the same FleetState: its
+      // column count differs, so the recycled scratch shrinks or grows and
+      // `fm` below regrows it over this model's warmed, stale cells.
+      {
+        ScoreModel other(fleet, f.dc, queue, inst.params, !inst.migration);
+        ReferenceModel other_ref(f.dc, queue, inst.params, !inst.migration);
+        expect_models_equal(other, other_ref, f.dc);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+
       ScoreModel fm(fleet, f.dc, queue, inst.params, inst.migration);
       ReferenceModel ref(f.dc, queue, inst.params, inst.migration);
       expect_models_equal(fm, ref, f.dc);

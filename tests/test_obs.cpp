@@ -378,6 +378,7 @@ TEST(MetricsRegistry, SnapshotIsSortedAndLabelled) {
 TEST(MetricsRegistry, CsvQuotesNamesWithCommasAndQuotes) {
   obs::MetricsRegistry registry;
   registry.counter("ops", "op=\"a,b\"").inc(2);
+  registry.counter("cr", "op=a\rb").inc(3);
   registry.gauge("plain").set(1.0);
   const auto snap = registry.snapshot();
 
@@ -386,6 +387,8 @@ TEST(MetricsRegistry, CsvQuotesNamesWithCommasAndQuotes) {
   // the comma inside the label no longer splits the row.
   EXPECT_NE(csv.find("\"ops{op=\"\"a,b\"\"}\",counter,2"),
             std::string::npos);
+  // A bare carriage return would end the row for RFC 4180 readers too.
+  EXPECT_NE(csv.find("\n\"cr{op=a\rb}\",counter,3"), std::string::npos);
   // Unremarkable names stay unquoted.
   EXPECT_NE(csv.find("\nplain,gauge,1"), std::string::npos);
 

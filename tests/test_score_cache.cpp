@@ -71,7 +71,7 @@ TEST_P(ScoreCacheProperty, CachedCellsEqualFreshRecomputation) {
                        inst.migration);
     if (model.cols() == 0) continue;
 
-    expect_cache_fresh(model, ref);  // cold cache / lazy static terms
+    expect_cache_fresh(model, ref);  // cold cache
     const int moves = static_cast<int>(rng.uniform_int(1, 12));
     for (int m = 0; m < moves; ++m) {
       int r = -1, c = -1;

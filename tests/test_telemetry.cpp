@@ -3,6 +3,7 @@
 // and the byte-identity of the stream across solver thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -203,6 +204,20 @@ TEST(TelemetryProm, MatchesGoldenExposition) {
   std::ostringstream want;
   want << in.rdbuf();
   EXPECT_EQ(got, want.str());
+
+  // A rule name is free text: a newline in it must not split the sample
+  // line. The text format escapes it as `\n`, next to `\\` and `\"`.
+  TelemetrySnapshot odd = sample_snapshot();
+  odd.active_alerts = {"hot\nline \"q\" \\"};
+  std::ostringstream odd_os;
+  write_snapshot_prom(odd_os, odd);
+  const std::string odd_text = odd_os.str();
+  EXPECT_NE(odd_text.find(
+                "easched_alert_active{rule=\"hot\\nline \\\"q\\\" \\\\\"} 1\n"),
+            std::string::npos)
+      << odd_text;
+  EXPECT_EQ(std::count(odd_text.begin(), odd_text.end(), '\n'),
+            std::count(got.begin(), got.end(), '\n'));
 }
 
 // ---- alert spec parsing ----------------------------------------------------
